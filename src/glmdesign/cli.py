@@ -28,7 +28,7 @@ from .constructors import (
 )
 from .designs import Design, parse_criterion_order, region_from_dict
 from .equivalence import sensitivity_scan, verify_design, write_scan_csv
-from .errors import ConvergenceError, DomainError, SingularMatrixError
+from .errors import ConvergenceError, DomainError
 from .models import (
     BUILTIN_FAMILIES,
     SINGLE_FACTOR_INTERCEPT,
@@ -54,7 +54,6 @@ _TOP_LEVEL_KEYS = {
     "design_in",
     "tolerance",
     "grid",
-    "seed",
 }
 
 
@@ -217,8 +216,6 @@ def _validate_top_level(cfg) -> None:
     tol = cfg.get("tolerance", 1e-7)
     _require(isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
              "tolerance must be a positive number")
-    seed = cfg.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "seed must be an integer")
 
 
 def execute(cfg: dict, out_path: str | None = None) -> tuple[int, str]:
@@ -239,10 +236,7 @@ def execute(cfg: dict, out_path: str | None = None) -> tuple[int, str]:
 
     if task == "optimize":
         _require(math.isfinite(k), "task 'optimize' requires a finite criterion order")
-        opts = OptimizerOptions(
-            convergence_tol=tolerance, random_seed=int(cfg.get("seed", 0))
-        )
-        result = optimize_design(spec, region, k, opts)
+        result = optimize_design(spec, region, k, OptimizerOptions(convergence_tol=tolerance))
         doc = {
             "design": result.design.to_dict(),
             "report": result.report.to_dict(),
@@ -323,10 +317,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stdout.write(_error_doc("schema", exc))
         return EXIT_SCHEMA
-    except (DomainError, SingularMatrixError, ConvergenceError) as exc:
-        sys.stdout.write(_error_doc("model", exc))
-        return EXIT_MODEL
-    except ValueError as exc:
+    except (ValueError, ConvergenceError) as exc:
+        # DomainError, SingularMatrixError and CriterionOverflowError are ValueErrors
         sys.stdout.write(_error_doc("model", exc))
         return EXIT_MODEL
     sys.stdout.write(text)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularMatrixError
+from .errors import CriterionOverflowError, SingularMatrixError
 from .models import ModelSpec, intensity_many, regression_matrix
 
 # Two coordinates are the same point when they agree after rounding to this
@@ -28,6 +28,9 @@ WEIGHT_SUM_TOL = 1e-12
 # An eigenvalue at or below this multiple of the largest one marks the
 # matrix as singular.
 SINGULARITY_RATIO = 1e-10
+
+# Natural log of the largest finite double.
+_LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 
 # Relative asymmetry above this rejects a matrix as non-symmetric.
 SYMMETRY_RTOL = 1e-10
@@ -337,13 +340,43 @@ def _check_symmetric(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _eigvals_checked(M: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(_check_symmetric(M))
-    if lam[-1] <= 0.0 or lam[0] <= SINGULARITY_RATIO * lam[-1]:
+def _nonsingular(lam: np.ndarray) -> np.ndarray:
+    """True where ascending eigenvalues (last axis) pass the SINGULARITY_RATIO
+    gate; lam.T[i] is entry i of that axis for one matrix or a stack."""
+    lo, hi = lam.T[0], lam.T[-1]
+    return (hi > 0.0) & (lo > SINGULARITY_RATIO * hi)
+
+
+def _gate(lam: np.ndarray) -> np.ndarray:
+    if not _nonsingular(lam):
         raise SingularMatrixError(
             f"information matrix is singular (eigenvalue range {float(lam[0])!r} to {float(lam[-1])!r})"
         )
     return lam
+
+
+def _eigvals_checked(M: np.ndarray) -> np.ndarray:
+    return _gate(np.linalg.eigvalsh(_check_symmetric(M)))
+
+
+def _eigen_basis(M: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigen core of the order-k equivalence theorem for a symmetric M.
+
+    Returns the ascending eigenvalues lam, the basis B = Q lam^-(k+1)/2 (so
+    that f^T M^-(k+1) f = ||B^T f||^2) and the bound trace M^-k.  Raises
+    SingularMatrixError past the SINGULARITY_RATIO gate and
+    CriterionOverflowError when the bound or B would leave the double range.
+    """
+    lam, Q = np.linalg.eigh(M)
+    _gate(lam)
+    # lam^-k and lam^-(k+1)/2 peak at lam[0]; p such terms must stay finite
+    if max(k, (k + 1.0) / 2.0) * -math.log(lam[0]) + math.log(lam.shape[0]) >= _LOG_DOUBLE_MAX:
+        raise CriterionOverflowError(
+            f"trace M^-k or M^-(k+1) overflows at order k={k!r} "
+            f"(smallest eigenvalue {float(lam[0])!r})"
+        )
+    B = Q * lam ** (-(k + 1.0) / 2.0)
+    return lam, B, float((lam ** -k).sum())
 
 
 def min_eigenvalue(M) -> float:
@@ -352,16 +385,16 @@ def min_eigenvalue(M) -> float:
     return float(lam[0])
 
 
-def _phi_from_eigenvalues(lam: np.ndarray, k: float) -> float:
-    """Criterion value from the (ascending, positive) eigenvalues of M."""
-    p = lam.shape[0]
+def _phi_from_eigenvalues(lam: np.ndarray, k: float) -> np.ndarray:
+    """Criterion values from ascending, positive eigenvalues on the last axis."""
+    p = lam.shape[-1]
     if k == 0.0:
-        return float(math.exp(-np.log(lam).mean()))
+        return np.exp(-np.log(lam).sum(axis=-1) / p)
+    lo = lam.T[0]
     if math.isinf(k):
-        return float(1.0 / lam[0])
-    ratios = lam[0] / lam  # in (0, 1]
-    s = float((ratios ** k).sum())
-    return float(math.exp(math.log(s / p) / k) / lam[0])
+        return 1.0 / lo
+    s = ((lo / lam.T) ** k).sum(axis=0)  # ratios in (0, 1]
+    return np.exp(np.log(s / p) / k) / lo
 
 
 def phi_k_of_matrix(M, k: float) -> float:
@@ -373,8 +406,7 @@ def phi_k_of_matrix(M, k: float) -> float:
     approaches the k = inf limit without overflow.
     """
     k = parse_criterion_order(k)
-    lam = _eigvals_checked(M)
-    return _phi_from_eigenvalues(lam, k)
+    return float(_phi_from_eigenvalues(_eigvals_checked(M), k))
 
 
 def phi_k_value(design: Design, spec: ModelSpec, k: float) -> float:

@@ -9,7 +9,6 @@ grid nodes is an explicit, documented limitation rather than a silent one.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -18,12 +17,13 @@ import numpy as np
 from .designs import (
     Design,
     Region,
+    _eigen_basis,
     information_matrix,
     parse_criterion_order,
     region_label,
     region_points,
 )
-from .errors import SingularMatrixError
+from .errors import CriterionOverflowError
 from .models import ModelSpec, intensity_many, regression_matrix
 
 DEFAULT_TOLERANCE = 1e-7
@@ -72,23 +72,22 @@ class _SensitivityKernel:
             raise ValueError(
                 "equivalence certification is defined for finite order k only"
             )
-        M = information_matrix(design, spec)
-        lam, Q = np.linalg.eigh(M)
-        if lam[-1] <= 0.0 or lam[0] <= 1e-10 * lam[-1]:
-            raise SingularMatrixError(
-                "design information matrix is singular; sensitivity is undefined"
-            )
         self.spec = spec
         self.k = k
         # columns scaled so that sensitivity is u * ||B^T f||^2
-        self._B = Q * lam ** (-(k + 1.0) / 2.0)
-        self.bound = float((lam ** -k).sum())
+        _, self._B, self.bound = _eigen_basis(information_matrix(design, spec), k)
 
     def many(self, pts: np.ndarray) -> np.ndarray:
         F = regression_matrix(self.spec, pts)
         u = intensity_many(self.spec, pts)
-        FB = F @ self._B
-        return u * np.einsum("ij,ij->i", FB, FB)
+        with np.errstate(over="ignore", invalid="ignore"):
+            FB = F @ self._B
+            sens = u * np.einsum("ij,ij->i", FB, FB)
+        if not np.isfinite(sens).all():
+            raise CriterionOverflowError(
+                f"sensitivity overflows at order k={self.k!r} on some candidate point"
+            )
+        return sens
 
 
 def sensitivity_at(design: Design, spec: ModelSpec, k: float, x) -> float:
@@ -172,9 +171,3 @@ def write_scan_csv(rows, out) -> None:
             emit(fh)
     else:
         emit(out)
-
-
-def scan_to_csv_text(rows) -> str:
-    buf = io.StringIO()
-    write_scan_csv(rows, buf)
-    return buf.getvalue()

@@ -11,3 +11,7 @@ class SingularMatrixError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative weight search failed to reach its stopping tolerance."""
+
+
+class CriterionOverflowError(ValueError):
+    """An order-k quantity (trace M^-k, M^-(k+1) or a sensitivity) leaves the double range."""

@@ -61,8 +61,8 @@ def _logistic_u(eta):
 def _probit_u(eta):
     eta = np.asarray(eta, dtype=float)
     pdf = np.exp(-0.5 * eta * eta) / _SQRT_2PI
-    cdf = ndtr(eta)
-    denom = np.maximum(cdf * (1.0 - cdf), PROBIT_TAIL_FLOOR)
+    # Phi(eta) Phi(-eta) keeps both tails exact; 1 - Phi(eta) cancels to zero
+    denom = np.maximum(ndtr(eta) * ndtr(-eta), PROBIT_TAIL_FLOOR)
     return pdf * pdf / denom
 
 

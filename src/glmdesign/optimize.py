@@ -18,6 +18,8 @@ import numpy as np
 from .designs import (
     Design,
     Region,
+    _eigen_basis,
+    _nonsingular,
     _phi_from_eigenvalues,
     canonical_point,
     parse_criterion_order,
@@ -34,35 +36,21 @@ PRUNE_WEIGHT = 1e-8
 # stay strictly positive even when a point is numerically dead.
 WEIGHT_FLOOR = 1e-250
 
-MULTIPLICATIVE = "multiplicative"
-PROJECTED_GRADIENT = "projected_gradient"
-
 _BRUTE_FORCE_CAP = 30_000_000
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Tuning knobs shared by the iterative searches.
-
-    random_seed is reserved for stochastic variants; the rules implemented
-    here are fully deterministic and do not consume it.
-    """
+    """Tuning knobs shared by the iterative searches."""
 
     max_iterations: int = 100_000
     convergence_tol: float = 1e-10
-    step_rule: str = MULTIPLICATIVE
-    grid_resolution: int = 200
-    random_seed: int = 0
 
     def __post_init__(self) -> None:
         if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
         if not (self.convergence_tol > 0.0):
             raise ValueError("convergence_tol must be positive")
-        if self.step_rule not in (MULTIPLICATIVE, PROJECTED_GRADIENT):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if int(self.grid_resolution) != self.grid_resolution or self.grid_resolution < 10:
-            raise ValueError("grid_resolution must be an integer >= 10")
 
 
 @dataclass(frozen=True)
@@ -94,34 +82,10 @@ def _scaled_rows(spec: ModelSpec, pts: np.ndarray) -> np.ndarray:
 def _state(G: np.ndarray, w: np.ndarray, k: float):
     """Eigen state of M(w): per-point sensitivities, bound, criterion value."""
     M = (G * w[:, None]).T @ G
-    M = (M + M.T) / 2.0
-    lam, Q = np.linalg.eigh(M)
-    if lam[-1] <= 0.0 or lam[0] <= 1e-10 * lam[-1]:
-        raise SingularMatrixError("support information matrix is singular")
-    B = Q * lam ** (-(k + 1.0) / 2.0)
+    lam, B, bound = _eigen_basis((M + M.T) / 2.0, k)
     GB = G @ B
     sens = np.einsum("ij,ij->i", GB, GB)
-    bound = float((lam ** -k).sum())
-    return sens, bound, _phi_from_eigenvalues(lam, k)
-
-
-def _objective(G: np.ndarray, w: np.ndarray, k: float) -> float:
-    """Smooth surrogate minimized by the projected-gradient rule."""
-    M = (G * w[:, None]).T @ G
-    lam = np.linalg.eigvalsh((M + M.T) / 2.0)
-    if lam[-1] <= 0.0 or lam[0] <= 1e-10 * lam[-1]:
-        return math.inf
-    if k == 0.0:
-        return float(-np.log(lam).sum())
-    return float((lam ** -k).sum())
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.shape[0] + 1)
-    rho = np.nonzero(u - css / idx > 0.0)[0][-1]
-    return np.maximum(v - css[rho] / (rho + 1.0), 0.0)
+    return sens, bound, float(_phi_from_eigenvalues(lam, k))
 
 
 def _support_gap(sens: np.ndarray, bound: float, w: np.ndarray) -> float:
@@ -139,7 +103,7 @@ def _support_gap(sens: np.ndarray, bound: float, w: np.ndarray) -> float:
 
 
 def _descend(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptions):
-    """Run the selected weight rule; returns (w, relative gap, converged, iters)."""
+    """Run the multiplicative weight rule; returns (w, relative gap, converged, iters)."""
     w = w0.copy()
     sens, bound, phi = _state(G, w, k)
     delta = 1.0 / (k + 1.0)
@@ -147,35 +111,15 @@ def _descend(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptions):
     for it in range(1, opts.max_iterations + 1):
         if gap <= opts.convergence_tol:
             return w, gap, True, it - 1
-        if opts.step_rule == MULTIPLICATIVE:
-            w = w * (sens / bound) ** delta
-            w = np.maximum(w, WEIGHT_FLOOR)
-            w = w / w.sum()
-            sens, bound, new_phi = _state(G, w, k)
-            if new_phi > phi + 1e-12 * max(1.0, abs(phi)):
-                raise ConvergenceError(
-                    f"multiplicative step increased the criterion ({phi!r} -> {new_phi!r})"
-                )
-            phi = new_phi
-        else:
-            grad = -sens if k == 0.0 else -k * sens
-            f0 = _objective(G, w, k)
-            t = 1.0 / max(1.0, float(np.abs(grad).max()))
-            improved = False
-            for _ in range(80):
-                cand = _project_simplex(w - t * grad)
-                cand = np.maximum(cand, WEIGHT_FLOOR)
-                cand = cand / cand.sum()
-                if _objective(G, cand, k) < f0:
-                    w = cand
-                    improved = True
-                    break
-                t /= 2.0
-            if not improved:
-                sens, bound, phi = _state(G, w, k)
-                gap = _support_gap(sens, bound, w)
-                return w, gap, gap <= opts.convergence_tol, it
-            sens, bound, phi = _state(G, w, k)
+        w = w * (sens / bound) ** delta
+        w = np.maximum(w, WEIGHT_FLOOR)
+        w = w / w.sum()
+        sens, bound, new_phi = _state(G, w, k)
+        if new_phi > phi + 1e-12 * max(1.0, abs(phi)):
+            raise ConvergenceError(
+                f"multiplicative step increased the criterion ({phi!r} -> {new_phi!r})"
+            )
+        phi = new_phi
         gap = _support_gap(sens, bound, w)
     return w, gap, gap <= opts.convergence_tol, opts.max_iterations
 
@@ -326,18 +270,9 @@ def brute_force_weights(
                 values = np.where(det > 0.0, det ** (-1.0 / p), math.inf)
         else:
             lam = np.linalg.eigvalsh(M)
-            valid = (lam[:, -1] > 0.0) & (lam[:, 0] > 1e-10 * lam[:, -1])
+            valid = _nonsingular(lam)
             lam_safe = np.where(valid[:, None], lam, 1.0)
-            if math.isinf(k):
-                values = np.where(valid, 1.0 / lam_safe[:, 0], math.inf)
-            else:
-                ratios = lam_safe[:, :1] / lam_safe
-                s = (ratios ** k).sum(axis=1)
-                values = np.where(
-                    valid,
-                    np.exp(np.log(s / p) / k) / lam_safe[:, 0],
-                    math.inf,
-                )
+            values = np.where(valid, _phi_from_eigenvalues(lam_safe, k), math.inf)
         i = int(np.argmin(values))
         if values[i] < best_value:
             best_value = float(values[i])

@@ -1,12 +1,15 @@
 """End-to-end command-line behaviour: exit codes, JSON output, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glmdesign
 from glmdesign.cli import (
     EXIT_MODEL,
     EXIT_OK,
@@ -171,6 +174,7 @@ def test_scan_without_out_is_schema_error(tmp_path):
         lambda c: c["model"].update(family="cauchy"),
         lambda c: c["model"].update(beta=["x", 1, 2]),
         lambda c: c.update(tolerance=-1.0),
+        lambda c: c.update(seed=0),  # removed field: searches are deterministic
     ],
 )
 def test_schema_errors_exit_2(tmp_path, mutate):
@@ -222,6 +226,28 @@ def test_domain_error_exits_3(tmp_path):
     assert code == EXIT_MODEL
     doc = json.loads(out)
     assert doc["error"] == "model"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_order_exits_3(tmp_path):
+    # trace M^-200 of this axis design exceeds the double range
+    cfg = {
+        "task": "verify",
+        "model": {
+            "family": "poisson_log",
+            "kind": "first_order_no_intercept",
+            "nu": 2,
+            "beta": [-3.0, -3.0],
+        },
+        "criterion": {"k": 200},
+        "region": {"type": "binary_hypercube", "nu": 2},
+        "design_in": {"points": [[1.0, 0.0], [0.0, 1.0]], "weights": [0.5, 0.5]},
+    }
+    code, out = run_cli(tmp_path, cfg)
+    assert code == EXIT_MODEL
+    doc = json.loads(out)
+    assert doc["error"] == "model"
+    assert "overflow" in doc["message"]
 
 
 def test_infinite_k_verify_is_schema_error(tmp_path):
@@ -287,10 +313,14 @@ def test_axis_constructor_defaults_unit_a(tmp_path):
 def test_module_entry_point_subprocess(tmp_path):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(POISSON_3PT))
+    # the child imports the same package as this process
+    entries = [str(Path(glmdesign.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, entries)))
     proc = subprocess.run(
         [sys.executable, "-m", "glmdesign.cli", "--config", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == EXIT_OK
     _, inproc = run_cli(tmp_path, POISSON_3PT)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
-from glmdesign.errors import SingularMatrixError
+from glmdesign.errors import CriterionOverflowError, SingularMatrixError
 
 SPEC1 = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 0.0))
 
@@ -97,6 +97,42 @@ def test_singular_design_is_rejected():
     single = g.Design(((0.0,),), (1.0,))
     with pytest.raises(SingularMatrixError):
         g.verify_design(single, SPEC1, 0.0, g.FiniteSet(((0.0,),)))
+
+
+# Poisson without intercept at beta = (-3, -3): the axis design is optimal on
+# the binary square for every order, but trace M^-k grows like 40^k
+POISSON_AXES = g.ModelSpec(g.poisson_log, g.first_order_no_intercept(2), (-3.0, -3.0))
+AXES = g.Design(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5))
+
+
+def test_large_order_still_certifies():
+    report = g.verify_design(AXES, POISSON_AXES, 50.0, g.BinaryHypercube(2))
+    assert report.passed
+    np.testing.assert_allclose(report.bound, 3.138354974075894e80, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: g.verify_design(AXES, POISSON_AXES, 200.0, g.BinaryHypercube(2)),
+        lambda: g.equivalence_bound(AXES, POISSON_AXES, 200.0),
+        lambda: g.sensitivity_scan(AXES, POISSON_AXES, 200.0, g.BinaryHypercube(2)),
+    ],
+    ids=["verify_design", "equivalence_bound", "sensitivity_scan"],
+)
+def test_overflowing_order_raises_typed_error(call):
+    with pytest.raises(CriterionOverflowError):
+        call()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_sensitivity_raises_typed_error():
+    # the bound is finite (trace M^-1 = 4), the sensitivity at 1e200 is not
+    spec = g.ModelSpec(g.linear_identity, g.first_order_no_intercept(2), (1.0, 1.0))
+    with pytest.raises(CriterionOverflowError):
+        g.verify_design(AXES, spec, 1.0, g.FiniteSet(((1.0, 0.0), (1e200, 0.0))))
+    assert issubclass(CriterionOverflowError, ValueError)
 
 
 def test_scan_rows_and_csv_format(tmp_path):

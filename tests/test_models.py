@@ -70,16 +70,38 @@ def test_pinned_intensity_values():
     np.testing.assert_allclose(g.intensity(spec, [0.0, 1.0]), 0.25, rtol=1e-15)
 
 
+# the largest |eta| (to 3 decimals) at which the probit intensity is representable
+PROBIT_LIMIT = 27.263
+
+
 def test_probit_survives_extreme_tails():
     spec = g.ModelSpec(g.probit, g.single_factor_intercept(), (0.0, 1.0))
-    for x in (-26.0, -20.0, 20.0, 26.0):
+    for x in (-PROBIT_LIMIT, -26.0, -20.0, 20.0, 26.0, PROBIT_LIMIT):
         u = g.intensity(spec, [x])
         assert math.isfinite(u) and u > 0.0
-    # the squared normal density underflows around |eta| ~ 26.6; past that the
-    # intensity is not representable and the model layer refuses rather than
-    # silently returning zero
-    with pytest.raises(DomainError):
-        g.intensity(spec, [-40.0])
+    # the squared normal density underflows to zero just past |eta| = 27.263;
+    # past that the intensity is not representable and the model layer
+    # refuses rather than silently returning zero
+    for x in (-40.0, -27.264, 27.264):
+        with pytest.raises(DomainError):
+            g.intensity(spec, [x])
+
+
+def test_probit_upper_tail_pinned():
+    # 1 - Phi(8.5) cancels to zero in double precision; the intensity must
+    # still match its lower-tail mirror and the exact value
+    spec = g.ModelSpec(g.probit, g.single_factor_intercept(), (0.0, 1.0))
+    np.testing.assert_allclose(g.intensity(spec, [8.5]), 7.034881525594659e-16, rtol=1e-13)
+    np.testing.assert_allclose(g.intensity(spec, [-8.5]), 7.034881525594659e-16, rtol=1e-13)
+
+
+@given(eta=st.floats(-PROBIT_LIMIT, PROBIT_LIMIT))
+@settings(max_examples=200, deadline=None)
+def test_probit_intensity_is_even(eta):
+    spec = g.ModelSpec(g.probit, g.single_factor_intercept(), (0.0, 1.0))
+    np.testing.assert_allclose(
+        g.intensity(spec, [eta]), g.intensity(spec, [-eta]), rtol=1e-12
+    )
 
 
 def test_regression_vectors():
