@@ -187,6 +187,52 @@ def test_schema_errors_exit_2(tmp_path, mutate):
     assert isinstance(doc["message"], str) and doc["message"]
 
 
+FINITE_2 = {"type": "finite_set", "points": [[0.0], [1.0]]}
+
+
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        ({"constructor": "missing_constructor"}, "unknown constructor 'missing_constructor'"),
+        (
+            {"constructor": "two_factor_design", "criterion": {"k": 2}},
+            "constructor 'two_factor_design' supports k=0 (D) or k=1 (A) only, got k=2.0",
+        ),
+        (
+            {"constructor": "binary_two_point_design", "criterion": {"k": 0.5}, "region": FINITE_2,
+             "model": {"family": "logistic", "kind": "single_factor_intercept", "beta": [0, 1]}},
+            "constructor 'binary_two_point_design' supports k=0 (D) or k=1 (A) only, got k=0.5",
+        ),
+        (
+            {"constructor": "fourpoint_d_weights", "criterion": {"k": 1}},
+            "fourpoint_d_weights is a D construction; set criterion.k = 0",
+        ),
+        (
+            {"constructor": "saturated_weights", "region": {"type": "binary_hypercube", "nu": 2}},
+            "constructor 'saturated_weights' takes its support from a finite_set region",
+        ),
+        (
+            {"constructor": "fourpoint_d_weights"},
+            "constructor 'fourpoint_d_weights' takes its support from a finite_set region",
+        ),
+        (
+            {"constructor": "saturated_weights", "region": FINITE_2},
+            "constructor 'saturated_weights' needs a finite_set of exactly 3 points",
+        ),
+        (
+            {"constructor": "binary_two_point_design", "region": FINITE_2 | {"points": [[0.0]]},
+             "model": {"family": "logistic", "kind": "single_factor_intercept", "beta": [0, 1]}},
+            "constructor 'binary_two_point_design' needs a finite_set of exactly 2 points",
+        ),
+    ],
+)
+def test_construct_schema_errors(tmp_path, job, message):
+    cfg = json.loads(json.dumps(POISSON_3PT)) | job
+    code, out = run_cli(tmp_path, cfg)
+    assert code == EXIT_SCHEMA
+    assert json.loads(out) == {"error": "schema", "message": message}
+
+
 def test_config_file_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

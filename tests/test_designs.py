@@ -100,14 +100,54 @@ def test_finite_set_and_axis_set():
 
 
 def test_region_dict_round_trip():
-    for region in (
-        g.GridBox((0.0, -1.0), (1.0, 1.0), (5, 7)),
-        g.FiniteSet(((0.0,), (1.5,))),
-        g.BinaryHypercube(4),
-        g.AxisSet((1.0, 0.5, 2.0)),
+    from glmdesign.designs import region_label
+
+    for region, doc, label in (
+        (
+            g.GridBox((0.0, -1.0), (1.0, 1.0), (5, 7)),
+            {"type": "grid_box", "lower": [0.0, -1.0], "upper": [1.0, 1.0], "resolution": [5, 7]},
+            "grid_box(lower=[0.0, -1.0], upper=[1.0, 1.0], resolution=[5, 7])",
+        ),
+        (
+            g.FiniteSet(((0.0,), (1.5,))),
+            {"type": "finite_set", "points": [[0.0], [1.5]]},
+            "finite_set(2 points)",
+        ),
+        (g.BinaryHypercube(4), {"type": "binary_hypercube", "nu": 4}, "binary_hypercube(nu=4)"),
+        (
+            g.AxisSet((1.0, 0.5, 2.0)),
+            {"type": "axis_set", "a": [1.0, 0.5, 2.0]},
+            "axis_set(a=[1.0, 0.5, 2.0])",
+        ),
     ):
+        assert json.dumps(g.region_to_dict(region)) == json.dumps(doc)
+        assert region_label(region) == label
         back = g.region_from_dict(g.region_to_dict(region))
+        assert back == region
         np.testing.assert_array_equal(g.region_points(back), g.region_points(region))
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"type": "grid_box", "lower": [0.0], "upper": [1.0]},
+         "region 'grid_box' is missing field 'resolution'"),
+        ({"type": "finite_set"}, "region 'finite_set' is missing field 'points'"),
+        ({"type": "axis_set", "a": [1.0], "b": 2},
+         "region 'axis_set' has unexpected fields ['b']"),
+        ({"type": "binary_hypercube", "nu": 2, "lower": [0.0], "a": [1.0]},
+         "region 'binary_hypercube' has unexpected fields ['a', 'lower']"),
+        ({"type": "sphere"}, "unknown region type 'sphere'"),
+        ({"type": 3}, "unknown region type 3"),
+        ({"type": ["grid_box"]}, "unknown region type ['grid_box']"),
+        ({"points": [[0.0]]}, "region descriptor must be an object with a 'type' field"),
+        ([], "region descriptor must be an object with a 'type' field"),
+    ],
+)
+def test_region_from_dict_errors(doc, message):
+    with pytest.raises(ValueError) as info:
+        g.region_from_dict(doc)
+    assert str(info.value) == message
 
 
 # ------------------------------------------------- information matrices
