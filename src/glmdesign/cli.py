@@ -14,19 +14,8 @@ import json
 import math
 import sys
 
-from .constructors import (
-    ConstructResult,
-    axis_design,
-    binary_two_point_design,
-    corner_design_multifactor,
-    fourpoint_d_weights,
-    hypercube_linear_design,
-    interval_boundary_design,
-    phik_axis_weights,
-    saturated_weights,
-    two_factor_design,
-)
-from .designs import Design, parse_criterion_order, region_from_dict
+from .constructors import CONSTRUCTORS, ConstructResult
+from .designs import Design, FiniteSet, parse_criterion_order, region_from_dict
 from .equivalence import sensitivity_scan, verify_design, write_scan_csv
 from .errors import ConvergenceError, DomainError
 from .models import (
@@ -128,81 +117,32 @@ def _parse_design(doc) -> Design:
         raise ConfigError(f"invalid design_in: {exc}") from None
 
 
-def _da_criterion(k: float, constructor: str) -> str:
-    if k == 0.0:
-        return "D"
-    if k == 1.0:
-        return "A"
-    raise ConfigError(
-        f"constructor {constructor!r} supports k=0 (D) or k=1 (A) only, got k={k!r}"
-    )
+def _as_grid(value) -> list[int]:
+    if value is None:
+        return []
+    return [int(v) for v in _as_number_list(value, "grid")]
 
 
-def _finite_set_points(region, constructor: str, count: int | None = None):
-    from .designs import FiniteSet
-
-    _require(region is not None and isinstance(region, FiniteSet),
-             f"constructor {constructor!r} takes its support from a finite_set region")
-    pts = [list(p) for p in region.points]
-    if count is not None:
-        _require(len(pts) == count,
-                 f"constructor {constructor!r} needs a finite_set of exactly {count} points")
-    return pts
-
-
-def _run_construct(cfg: dict) -> ConstructResult:
+def _construct(cfg: dict, spec: ModelSpec, k: float, region) -> ConstructResult:
     name = cfg.get("constructor")
     _require(isinstance(name, str), "task 'construct' requires a constructor name")
-    spec = _build_spec(cfg.get("model"))
-    k = _parse_k(cfg.get("criterion"))
-    region = _parse_region(cfg.get("region"))
+    _require(name in CONSTRUCTORS, f"unknown constructor {name!r}")
+    rule, support, build = CONSTRUCTORS[name]
+    criterion = k if rule == "any k" else {0.0: "D", 1.0: "A"}.get(k)
+    _require(rule != "D only" or criterion == "D", f"{name} is a D construction; set criterion.k = 0")
+    _require(criterion is not None,
+             f"constructor {name!r} supports k=0 (D) or k=1 (A) only, got k={k!r}")
+    if support is not None:
+        _require(isinstance(region, FiniteSet),
+                 f"constructor {name!r} takes its support from a finite_set region")
+        count = spec.p if support == "p" else support
+        _require(len(region.points) == count,
+                 f"constructor {name!r} needs a finite_set of exactly {count} points")
+        _require(region.nu == spec.nu,
+                 f"constructor {name!r} needs {spec.nu}-dimensional finite_set points")
     a = cfg.get("a")
-    grid = cfg.get("grid")
-    if grid is not None:
-        grid = [int(v) for v in _as_number_list(grid, "grid")]
-
-    if name == "binary_two_point_design":
-        pts = _finite_set_points(region, name, 2)
-        _require(all(len(p) == 1 for p in pts),
-                 "binary_two_point_design needs two one-dimensional points")
-        crit = _da_criterion(k, name)
-        design = binary_two_point_design(spec, pts[0][0], pts[1][0], crit)
-        return ConstructResult(design, f"{crit}-2pt", True, 0.0)
-    if name == "interval_boundary_design":
-        crit = _da_criterion(k, name)
-        grid_n = grid[0] if grid else 999
-        return interval_boundary_design(spec, crit, grid_n=grid_n)
-    if name == "two_factor_design":
-        return two_factor_design(spec, _da_criterion(k, name))
-    if name == "corner_design_multifactor":
-        return corner_design_multifactor(spec, _da_criterion(k, name))
-    if name == "axis_design":
-        avec = a if a is not None else [1.0] * spec.nu
-        return axis_design(spec, _as_number_list(avec, "a"), k, region)
-    if name == "hypercube_linear_design":
-        crit = _da_criterion(k, name)
-        design = hypercube_linear_design(spec.nu, crit)
-        return ConstructResult(design, f"{crit}-layers", True, 0.0)
-    if name == "saturated_weights":
-        crit = _da_criterion(k, name)
-        pts = _finite_set_points(region, name, spec.p)
-        w = saturated_weights(spec, pts, crit)
-        return ConstructResult(Design.from_arrays(pts, w), f"saturated-{crit}", True, 0.0)
-    if name == "fourpoint_d_weights":
-        _require(k == 0.0, "fourpoint_d_weights is a D construction; set criterion.k = 0")
-        pts = _finite_set_points(region, name, 4)
-        w = fourpoint_d_weights(spec, pts)
-        return ConstructResult(Design.from_arrays(pts, w), "fourpoint-D", True, 0.0)
-    if name == "phik_axis_weights":
-        avec = a if a is not None else [1.0] * spec.nu
-        avec = _as_number_list(avec, "a")
-        w = phik_axis_weights(spec, avec, k)
-        import numpy as np
-
-        return ConstructResult(
-            Design.from_arrays(np.diag(np.asarray(avec)), w), "axis-weights", True, 0.0
-        )
-    raise ConfigError(f"unknown constructor {name!r}")
+    a = _as_number_list([1.0] * spec.nu if a is None else a, "a")
+    return build(spec, criterion, region=region, a=a, grid=_as_grid(cfg.get("grid")))
 
 
 def _validate_top_level(cfg) -> None:
@@ -224,18 +164,20 @@ def execute(cfg: dict, out_path: str | None = None) -> tuple[int, str]:
     _validate_top_level(cfg)
     task = cfg["task"]
     tolerance = float(cfg.get("tolerance", 1e-7))
-
-    if task == "construct":
-        result = _run_construct(cfg)
-        return EXIT_OK, json.dumps(result.to_dict(), indent=2) + "\n"
-
-    spec = _build_spec(cfg.get("model"))
-    k = _parse_k(cfg.get("criterion"))
+    spec = _build_spec(cfg["model"])
+    k = _parse_k(cfg["criterion"])
     region = _parse_region(cfg.get("region"))
-    _require(region is not None, f"task {task!r} requires a region")
+    if task != "construct":
+        _require(region is not None, f"task {task!r} requires a region")
+        _require(math.isfinite(k), f"task {task!r} requires a finite criterion order")
+    if task in ("verify", "scan"):
+        _require("design_in" in cfg, f"task {task!r} requires design_in")
+        design = _parse_design(cfg["design_in"])
 
-    if task == "optimize":
-        _require(math.isfinite(k), "task 'optimize' requires a finite criterion order")
+    code = EXIT_OK
+    if task == "construct":
+        doc = _construct(cfg, spec, k, region).to_dict()
+    elif task == "optimize":
         result = optimize_design(spec, region, k, OptimizerOptions(convergence_tol=tolerance))
         doc = {
             "design": result.design.to_dict(),
@@ -244,24 +186,16 @@ def execute(cfg: dict, out_path: str | None = None) -> tuple[int, str]:
             "iterations": result.iterations,
         }
         code = EXIT_OK if result.report.passed else EXIT_VERIFY_FAILED
-        return code, json.dumps(doc, indent=2) + "\n"
-
-    _require("design_in" in cfg, f"task {task!r} requires design_in")
-    design = _parse_design(cfg["design_in"])
-
-    if task == "verify":
-        _require(math.isfinite(k), "task 'verify' requires a finite criterion order")
+    elif task == "verify":
         report = verify_design(design, spec, k, region, tol=tolerance)
+        doc = report.to_dict()
         code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-        return code, json.dumps(report.to_dict(), indent=2) + "\n"
-
-    # task == "scan"
-    _require(math.isfinite(k), "task 'scan' requires a finite criterion order")
-    _require(out_path is not None, "task 'scan' requires --out PATH for the CSV table")
-    rows = sensitivity_scan(design, spec, k, region)
-    write_scan_csv(rows, out_path)
-    doc = {"rows": len(rows), "bound": rows[0][2], "out": str(out_path)}
-    return EXIT_OK, json.dumps(doc, indent=2) + "\n"
+    else:
+        _require(out_path is not None, "task 'scan' requires --out PATH for the CSV table")
+        rows = sensitivity_scan(design, spec, k, region)
+        write_scan_csv(rows, out_path)
+        doc = {"rows": len(rows), "bound": rows[0][2], "out": str(out_path)}
+    return code, json.dumps(doc, indent=2) + "\n"
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:

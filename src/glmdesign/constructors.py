@@ -495,3 +495,67 @@ def hypercube_linear_design(nu: int, criterion: str) -> Design:
     ]
     weights = [point_weight[int(sum(pt))] for pt in corners]
     return Design.from_arrays(np.asarray(corners), weights)
+
+
+# ---------------------------------------------------------------------------
+# The catalogue a construct job dispatches through.  Each builder is called as
+# build(spec, criterion, region=..., a=..., grid=...) and names its
+# constructor at call time, so rebinding a module-level name reaches it.
+
+
+def _two_point(spec, crit, region, **_):
+    a, b = (p[0] for p in region.points)
+    return _result(binary_two_point_design(spec, a, b, crit), f"{crit}-2pt", 0.0)
+
+
+def _interval(spec, crit, grid, **_):
+    # the first grid entry, if any, is the grid_n of the convexity check
+    return interval_boundary_design(spec, crit, *grid[:1])
+
+
+def _two_factor(spec, crit, **_):
+    return two_factor_design(spec, crit)
+
+
+def _corner(spec, crit, **_):
+    return corner_design_multifactor(spec, crit)
+
+
+def _axis(spec, k, a, region, **_):
+    return axis_design(spec, a, k, region)
+
+
+def _layers(spec, crit, **_):
+    return _result(hypercube_linear_design(spec.nu, crit), f"{crit}-layers", 0.0)
+
+
+def _saturated(spec, crit, region, **_):
+    w = saturated_weights(spec, region.points, crit)
+    return _result(Design.from_arrays(region.points, w), f"saturated-{crit}", 0.0)
+
+
+def _fourpoint(spec, crit, region, **_):
+    w = fourpoint_d_weights(spec, region.points)
+    return _result(Design.from_arrays(region.points, w), "fourpoint-D", 0.0)
+
+
+def _axis_weights(spec, k, a, **_):
+    w = phik_axis_weights(spec, a, k)
+    return _result(Design.from_arrays(np.diag(a), w), "axis-weights", 0.0)
+
+
+# name -> (criterion rule, finite_set support size, builder).  Rules: "D or A"
+# hands order k = 0 or 1 on as "D" or "A", "D only" admits k = 0 alone, and
+# "any k" hands k on as it is.  A support size asks for a finite_set region
+# with that many points of the model's dimension ("p": one per parameter).
+CONSTRUCTORS = {
+    "binary_two_point_design": ("D or A", 2, _two_point),
+    "interval_boundary_design": ("D or A", None, _interval),
+    "two_factor_design": ("D or A", None, _two_factor),
+    "corner_design_multifactor": ("D or A", None, _corner),
+    "axis_design": ("any k", None, _axis),
+    "hypercube_linear_design": ("D or A", None, _layers),
+    "saturated_weights": ("D or A", "p", _saturated),
+    "fourpoint_d_weights": ("D only", 4, _fourpoint),
+    "phik_axis_weights": ("any k", None, _axis_weights),
+}

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -131,9 +131,27 @@ class Design:
 # Design regions
 
 
+def _plain(value):
+    """A field value as JSON data: tuples become lists, nested ones too."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+class _RegionFields:
+    """A region's JSON descriptor is its TYPE plus its dataclass fields."""
+
+    def to_dict(self) -> dict:
+        return {"type": self.TYPE, **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
+
+    def label(self) -> str:
+        args = ", ".join(f"{f.name}={_plain(getattr(self, f.name))}" for f in fields(self))
+        return f"{self.TYPE}({args})"
+
+
 @dataclass(frozen=True)
-class FiniteSet:
+class FiniteSet(_RegionFields):
     """An explicit finite list of candidate points."""
+
+    TYPE = "finite_set"
 
     points: tuple[tuple[float, ...], ...]
 
@@ -151,13 +169,18 @@ class FiniteSet:
     def nu(self) -> int:
         return len(self.points[0])
 
+    def label(self) -> str:
+        return f"finite_set({len(self.points)} points)"
+
     def candidate_points(self) -> np.ndarray:
         return _lexsorted(np.asarray(self.points, dtype=float))
 
 
 @dataclass(frozen=True)
-class BinaryHypercube:
+class BinaryHypercube(_RegionFields):
     """All 2^nu corners of {0, 1}^nu."""
+
+    TYPE = "binary_hypercube"
 
     nu: int
 
@@ -172,8 +195,10 @@ class BinaryHypercube:
 
 
 @dataclass(frozen=True)
-class GridBox:
+class GridBox(_RegionFields):
     """A per-axis uniform grid over a box, endpoints included."""
+
+    TYPE = "grid_box"
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
@@ -209,8 +234,10 @@ class GridBox:
 
 
 @dataclass(frozen=True)
-class AxisSet:
+class AxisSet(_RegionFields):
     """The nu points a_i e_i, one on each coordinate axis."""
+
+    TYPE = "axis_set"
 
     a: tuple[float, ...]
 
@@ -232,6 +259,8 @@ class AxisSet:
 
 Region = FiniteSet | BinaryHypercube | GridBox | AxisSet
 
+REGION_TYPES = {cls.TYPE: cls for cls in (FiniteSet, BinaryHypercube, GridBox, AxisSet)}
+
 
 def _lexsorted(pts: np.ndarray) -> np.ndarray:
     order = np.lexsort(pts.T[::-1])
@@ -244,18 +273,7 @@ def region_points(region: Region) -> np.ndarray:
 
 
 def region_label(region: Region) -> str:
-    if isinstance(region, FiniteSet):
-        return f"finite_set({len(region.points)} points)"
-    if isinstance(region, BinaryHypercube):
-        return f"binary_hypercube(nu={region.nu})"
-    if isinstance(region, GridBox):
-        return (
-            f"grid_box(lower={list(region.lower)}, upper={list(region.upper)}, "
-            f"resolution={list(region.resolution)})"
-        )
-    if isinstance(region, AxisSet):
-        return f"axis_set(a={list(region.a)})"
-    raise TypeError(f"not a region: {region!r}")
+    return region.label()
 
 
 def region_from_dict(doc: dict) -> Region:
@@ -263,47 +281,22 @@ def region_from_dict(doc: dict) -> Region:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError("region descriptor must be an object with a 'type' field")
     kind = doc["type"]
-    fields = {k: v for k, v in doc.items() if k != "type"}
-    try:
-        if kind == "finite_set":
-            pts = np.asarray(fields.pop("points"), dtype=float)
-            if pts.ndim == 1:
-                pts = pts[:, None]
-            reg = FiniteSet(tuple(map(tuple, pts)))
-        elif kind == "binary_hypercube":
-            reg = BinaryHypercube(fields.pop("nu"))
-        elif kind == "grid_box":
-            reg = GridBox(
-                tuple(fields.pop("lower")),
-                tuple(fields.pop("upper")),
-                tuple(fields.pop("resolution")),
-            )
-        elif kind == "axis_set":
-            reg = AxisSet(tuple(fields.pop("a")))
-        else:
-            raise ValueError(f"unknown region type {kind!r}")
-    except KeyError as exc:
-        raise ValueError(f"region {kind!r} is missing field {exc.args[0]!r}") from None
-    if fields:
-        raise ValueError(f"region {kind!r} has unexpected fields {sorted(fields)}")
-    return reg
+    cls = REGION_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown region type {kind!r}")
+    names = [f.name for f in fields(cls)]
+    for name in names:
+        if name not in doc:
+            raise ValueError(f"region {kind!r} is missing field {name!r}")
+    region = cls(**{name: doc[name] for name in names})
+    extra = set(doc) - {"type", *names}
+    if extra:
+        raise ValueError(f"region {kind!r} has unexpected fields {sorted(extra)}")
+    return region
 
 
 def region_to_dict(region: Region) -> dict:
-    if isinstance(region, FiniteSet):
-        return {"type": "finite_set", "points": [list(p) for p in region.points]}
-    if isinstance(region, BinaryHypercube):
-        return {"type": "binary_hypercube", "nu": region.nu}
-    if isinstance(region, GridBox):
-        return {
-            "type": "grid_box",
-            "lower": list(region.lower),
-            "upper": list(region.upper),
-            "resolution": list(region.resolution),
-        }
-    if isinstance(region, AxisSet):
-        return {"type": "axis_set", "a": list(region.a)}
-    raise TypeError(f"not a region: {region!r}")
+    return region.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,17 @@ FINITE_2 = {"type": "finite_set", "points": [[0.0], [1.0]]}
              "model": {"family": "logistic", "kind": "single_factor_intercept", "beta": [0, 1]}},
             "constructor 'binary_two_point_design' needs a finite_set of exactly 2 points",
         ),
+        (
+            {"constructor": "binary_two_point_design",
+             "region": {"type": "finite_set", "points": [[0.0, 1.0], [1.0, 0.0]]},
+             "model": {"family": "logistic", "kind": "single_factor_intercept", "beta": [0, 1]}},
+            "constructor 'binary_two_point_design' needs 1-dimensional finite_set points",
+        ),
+        (
+            {"constructor": "saturated_weights",
+             "region": {"type": "finite_set", "points": [[0.0], [1.0], [2.0]]}},
+            "constructor 'saturated_weights' needs 2-dimensional finite_set points",
+        ),
     ],
 )
 def test_construct_schema_errors(tmp_path, job, message):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from glmdesign.cli import EXIT_OK, main
+from glmdesign.constructors import CONSTRUCTORS
 
 GOLDEN = Path(__file__).parent / "golden"
 JOBS = sorted(p.stem for p in GOLDEN.glob("*.json"))
@@ -21,7 +22,7 @@ JOBS = sorted(p.stem for p in GOLDEN.glob("*.json"))
 
 def test_golden_set_is_complete():
     constructs = {json.loads((GOLDEN / f"{n}.json").read_text()).get("constructor") for n in JOBS}
-    assert len(constructs - {None}) == 9
+    assert constructs - {None} == set(CONSTRUCTORS)
     tasks = {json.loads((GOLDEN / f"{n}.json").read_text())["task"] for n in JOBS}
     assert tasks == {"construct", "optimize", "verify", "scan"}
 
