@@ -120,7 +120,9 @@ def _parse_design(doc) -> Design:
 def _as_grid(value) -> list[int]:
     if value is None:
         return []
-    return [int(v) for v in _as_number_list(value, "grid")]
+    grid = _as_number_list(value, "grid")
+    _require(all(v.is_integer() for v in grid), "grid must contain finite integers only")
+    return [int(v) for v in grid]
 
 
 def _construct(cfg: dict, spec: ModelSpec, k: float, region) -> ConstructResult:
@@ -154,13 +156,15 @@ def _validate_top_level(cfg) -> None:
     _require("model" in cfg, "model is required")
     _require("criterion" in cfg, "criterion is required")
     tol = cfg.get("tolerance", 1e-7)
-    _require(isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol > 0,
-             "tolerance must be a positive number")
+    _require(isinstance(tol, (int, float)) and not isinstance(tol, bool)
+             and 0 < tol <= sys.float_info.max,
+             "tolerance must be a finite positive number")
 
 
 def execute(cfg: dict, out_path: str | None = None) -> tuple[int, str]:
     """Run one job; returns (exit code, stdout text).  Scan CSVs are written
-    to ``out_path``."""
+    to ``out_path``.  A non-finite number in the result raises ValueError,
+    because stdout carries strict JSON."""
     _validate_top_level(cfg)
     task = cfg["task"]
     tolerance = float(cfg.get("tolerance", 1e-7))
@@ -195,7 +199,7 @@ def execute(cfg: dict, out_path: str | None = None) -> tuple[int, str]:
         rows = sensitivity_scan(design, spec, k, region)
         write_scan_csv(rows, out_path)
         doc = {"rows": len(rows), "bound": rows[0][2], "out": str(out_path)}
-    return code, json.dumps(doc, indent=2) + "\n"
+    return code, json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _apply_override(cfg: dict, assignment: str) -> None:

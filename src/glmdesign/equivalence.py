@@ -110,8 +110,8 @@ def verify_design(
     tol: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
     """Scan a region and report whether the design certifies as order-k optimal."""
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tolerance must be finite and positive")
     cand = region_points(region)
     if cand.shape[0] == 0:
         raise ValueError("verification region is empty")

@@ -49,8 +49,8 @@ class OptimizerOptions:
     def __post_init__(self) -> None:
         if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
             raise ValueError("max_iterations must be a positive integer")
-        if not (self.convergence_tol > 0.0):
-            raise ValueError("convergence_tol must be positive")
+        if not (0.0 < self.convergence_tol < math.inf):
+            raise ValueError("convergence_tol must be finite and positive")
 
 
 @dataclass(frozen=True)

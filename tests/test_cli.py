@@ -175,6 +175,7 @@ def test_scan_without_out_is_schema_error(tmp_path):
         lambda c: c["model"].update(beta=["x", 1, 2]),
         lambda c: c.update(tolerance=-1.0),
         lambda c: c.update(seed=0),  # removed field: searches are deterministic
+        lambda c: c.update(tolerance=float("inf")),
     ],
 )
 def test_schema_errors_exit_2(tmp_path, mutate):
@@ -242,6 +243,38 @@ def test_construct_schema_errors(tmp_path, job, message):
     code, out = run_cli(tmp_path, cfg)
     assert code == EXIT_SCHEMA
     assert json.loads(out) == {"error": "schema", "message": message}
+
+
+INTERVAL = {
+    "task": "construct",
+    "constructor": "interval_boundary_design",
+    "model": {"family": "logistic", "kind": "single_factor_intercept", "beta": [0.0, 1.0]},
+    "criterion": {"k": 0},
+}
+
+
+@pytest.mark.parametrize("grid", [[float("inf")], [float("nan")], [2.9]])
+def test_grid_entries_must_be_finite_integers(tmp_path, grid):
+    code, out = run_cli(tmp_path, INTERVAL | {"grid": grid})
+    assert code == EXIT_SCHEMA
+    assert json.loads(out) == {"error": "schema", "message": "grid must contain finite integers only"}
+
+
+def test_integral_float_grid_is_accepted(tmp_path):
+    assert run_cli(tmp_path, INTERVAL | {"grid": [50.0]}) == run_cli(tmp_path, INTERVAL | {"grid": [50]})
+
+
+def test_non_finite_result_is_model_error(tmp_path):
+    # q = 1/u overflows along the interval, so the condition margin is -inf,
+    # which strict JSON cannot carry
+    job = json.loads(json.dumps(INTERVAL))
+    job["model"]["beta"] = [0.0, 705.0]
+    with np.errstate(over="ignore"):
+        code, out = run_cli(tmp_path, job)
+    assert code == EXIT_MODEL
+    doc = json.loads(out)
+    assert doc["error"] == "model"
+    assert "JSON" in doc["message"]
 
 
 def test_config_file_malformed_json(tmp_path):

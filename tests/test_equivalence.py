@@ -93,6 +93,17 @@ def test_infinite_order_is_rejected():
         g.verify_design(half_design(), SPEC1, math.inf, g.FiniteSet(((0.0,),)))
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-7])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # an infinite tolerance would certify this far-from-optimal design
+    spec = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 1.0))
+    grid = g.GridBox((-3.0,), (3.0,), (61,))
+    report = g.verify_design(half_design(), spec, 0.0, grid)
+    assert not report.passed and report.worst_gap > 9.0
+    with pytest.raises(ValueError, match="finite and positive"):
+        g.verify_design(half_design(), spec, 0.0, grid, tol=tol)
+
+
 def test_singular_design_is_rejected():
     single = g.Design(((0.0,),), (1.0,))
     with pytest.raises(SingularMatrixError):

@@ -79,6 +79,12 @@ def test_optimizer_options_carry_only_consumed_knobs():
             g.OptimizerOptions(**{knob: 0})
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+def test_optimizer_options_reject_non_finite_tolerance(tol):
+    with pytest.raises(ValueError, match="finite and positive"):
+        g.OptimizerOptions(convergence_tol=tol)
+
+
 @given(
     seed=st.integers(0, 2**31 - 1),
     k=st.sampled_from([0.0, 1.0, 2.0]),
