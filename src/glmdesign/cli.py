@@ -62,7 +62,10 @@ def _as_number_list(value, field: str) -> list[float]:
     for v in value:
         _require(isinstance(v, (int, float)) and not isinstance(v, bool),
                  f"{field} must contain numbers only")
-        out.append(float(v))
+        try:
+            out.append(float(v))
+        except OverflowError:
+            raise ConfigError(f"{field} must contain numbers within the double range") from None
     return out
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from glmdesign.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from glmdesign.constructors import CONSTRUCTORS
 
 POISSON_3PT = {
     "task": "construct",
@@ -176,6 +178,8 @@ def test_scan_without_out_is_schema_error(tmp_path):
         lambda c: c.update(tolerance=-1.0),
         lambda c: c.update(seed=0),  # removed field: searches are deterministic
         lambda c: c.update(tolerance=float("inf")),
+        lambda c: c["model"].update(beta=[0, 10**400, 0]),  # no double holds it
+        lambda c: c.update(a=["x"]),  # checked on every construct job
     ],
 )
 def test_schema_errors_exit_2(tmp_path, mutate):
@@ -398,6 +402,17 @@ def test_axis_constructor_defaults_unit_a(tmp_path):
     assert doc["case"] == "axis-gamma"
     np.testing.assert_allclose(doc["design"]["weights"], [1 / 3, 2 / 3], rtol=1e-12)
     assert doc["design"]["points"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_readme_lists_every_constructor():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| constructor | criterion |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+?) \| ([^|]+?) \|", table, re.MULTILINE)
+    listed = {name: (rule, support) for name, rule, support in rows}
+    assert listed == {
+        name: (rule, "—" if size is None else f"{size} points")
+        for name, (rule, size, _) in CONSTRUCTORS.items()
+    }
 
 
 def test_module_entry_point_subprocess(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
+from glmdesign.designs import region_label
 from glmdesign.errors import SingularMatrixError
 
 LOGISTIC_01 = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 0.0))
@@ -100,8 +101,6 @@ def test_finite_set_and_axis_set():
 
 
 def test_region_dict_round_trip():
-    from glmdesign.designs import region_label
-
     for region, doc, label in (
         (
             g.GridBox((0.0, -1.0), (1.0, 1.0), (5, 7)),
