@@ -125,6 +125,7 @@ def _as_grid(value) -> list[int]:
         return []
     grid = _as_number_list(value, "grid")
     _require(all(v.is_integer() for v in grid), "grid must contain finite integers only")
+    _require(all(v >= 2 for v in grid), "grid entries must be at least 2")
     return [int(v) for v in grid]
 
 

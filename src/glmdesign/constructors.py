@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import BinaryHypercube, Design, Region, parse_criterion_order, region_points
+from .equivalence import _SensitivityKernel
 from .errors import ConvergenceError
 from .models import (
     FIRST_ORDER_INTERCEPT,
@@ -269,41 +270,43 @@ def _a_case_shortfall(q: np.ndarray, case: int) -> float:
     return q4 * q4 - rhs
 
 
-def _polish_fourpoint_d(u: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """Newton refinement of the four-point stationarity system.
+def _fourpoint_d_root(u: np.ndarray) -> np.ndarray:
+    """D-optimal weights on the four corners of {0, 1}^2, all carrying mass.
 
-    Solves u_i w_i (1/3 - w_i) = c together with sum(w) = 1, starting from an
-    iterative estimate that selects the correct quadratic branches.
+    Any three corners have |det| = 1, so the weights solve u_i w_i (1/3 - w_i)
+    = c with sum(w) = 1, and every solution puts the sensitivity at p = 3 on
+    all four corners: it is the unique optimum.  So c > 0, each w_i lies in
+    (0, 1/3), w_i = 1/6 +/- r_i with r_i = sqrt(1/36 - c/u_i) and c <= c* =
+    min(u)/36.  Branch rule: two weights below 1/6 would leave the four summing
+    below 1, so at most one corner j takes the lower root.  If u_m <= u_j for
+    another corner m, then w_j and 1/3 - w_m are at most 1/6 with
+    w_j (1/3 - w_j) = c/u_j <= c/u_m = w_m (1/3 - w_m), so w_j + w_m <= 1/3
+    and the other two, each below 1/3, cannot make up 2/3.  Only the
+    lowest-intensity corner m takes the lower root, and it does exactly when
+    the upper roots, whose sum falls strictly in c, still sum above 1 at c*.
+    With s_i = (c/u_i)/(1/6 + r_i), the distance to 1/3 (to 0 on the lower
+    root), sum(w) - 1 is 1/3 - sum(s), or s_m - sum_{i != m} s_i, free of
+    cancellation; the latter tends to 3c times the negative three-point
+    margin as c -> 0 and is positive at c*.  Bisection on its sign closes
+    [0, c*] in double precision.
     """
-    x = np.append(w0, u[0] * w0[0] * (1.0 / 3.0 - w0[0]))
-    for _ in range(80):
-        w, c = x[:4], x[4]
-        res = np.append(u * w * (1.0 / 3.0 - w) - c, w.sum() - 1.0)
-        if float(np.abs(res).max()) <= 1e-14 * max(1.0, abs(c)):
-            break
-        jac = np.zeros((5, 5))
-        jac[:4, :4] = np.diag(u * (1.0 / 3.0 - 2.0 * w))
-        jac[:4, 4] = -1.0
-        jac[4, :4] = 1.0
-        try:
-            x = x - np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("four-point stationarity polish hit a singular step") from exc
-    else:
-        raise ConvergenceError("four-point stationarity polish did not converge")
-    w = x[:4]
-    if (w <= 0.0).any() or (w >= 1.0).any():
-        raise ConvergenceError("four-point stationarity polish left the weight simplex")
-    return w / w.sum()
+    u = [float(v) for v in u]
+    m = u.index(min(u))
 
+    def gaps(c: float) -> list[float]:
+        return [(c / ui) / (1.0 / 6.0 + math.sqrt(max(0.0, 1.0 / 36.0 - c / ui))) for ui in u]
 
-def _certify_fourpoint(u: np.ndarray, w: np.ndarray) -> None:
-    c = u * w * (1.0 / 3.0 - w)
-    spread = float(c.max() - c.min())
-    if spread > FOURPOINT_CERT_RTOL * float(np.abs(c).max()):
-        raise ConvergenceError(
-            f"four-point certificate failed: stationarity values spread {spread!r}"
-        )
+    lo, hi = 0.0, u[m] / 36.0
+    lower = sum(gaps(hi)) < 1.0 / 3.0
+    c = 0.5 * hi
+    while lo < c < hi:
+        s = gaps(c)
+        # sum(w) - 1 falls in c on the upper branch and rises on the lower one
+        excess = 2.0 * s[m] - sum(s) if lower else 1.0 / 3.0 - sum(s)
+        lo, hi = (lo, c) if (excess > 0.0) == lower else (c, hi)
+        c = 0.5 * (lo + hi)
+    s = gaps(c)
+    return np.array([si if lower and i == m else 1.0 / 3.0 - si for i, si in enumerate(s)])
 
 
 def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
@@ -311,8 +314,9 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     intercept.
 
     D: either equal weights on the three highest-intensity corners (when the
-    lowest corner is uninformative enough) or a four-point design whose
-    weights satisfy the stationarity certificate u_i w_i (1/3 - w_i) = const.
+    lowest corner is uninformative enough) or four-point weights solving
+    u_i w_i (1/3 - w_i) = c as one bracketed root in c (_fourpoint_d_root),
+    certified by the sensitivity reaching p = 3 at all four corners.
     A: one of four dominant-corner three-point designs, falling back to
     numerically optimized four-point weights when no inequality holds.
     """
@@ -331,18 +335,11 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
             keep = np.sort(order[1:])
             design = Design.from_arrays(corners[keep], np.full(3, 1.0 / 3.0))
             return _result(design, "D-3pt", margin3)
-        if abs(spec.beta[1] - spec.beta[2]) <= 1e-9 * max(1.0, abs(spec.beta[1]), abs(spec.beta[2])):
-            w = fourpoint_d_weights(spec, corners)
-        else:
-            seed = optimize_weights(
-                spec,
-                corners,
-                0.0,
-                OptimizerOptions(convergence_tol=1e-12, max_iterations=200_000),
-            ).weight_array
-            w = _polish_fourpoint_d(u, seed)
-        _certify_fourpoint(u, w)
-        design = Design.from_arrays(corners, w)
+        design = Design.from_arrays(corners, _fourpoint_d_root(u))
+        # certificate: the sensitivity reaches p = 3 at all four corners
+        miss = float(np.abs(_SensitivityKernel(design, spec, 0.0).many(corners) - 3.0).max())
+        if miss > FOURPOINT_CERT_RTOL * 3.0:
+            raise ConvergenceError(f"four-point certificate failed: d(x) misses 3 by {miss!r}")
         return _result(design, "D-4pt", -margin3)
 
     q = 1.0 / np.sqrt(u)

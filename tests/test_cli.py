@@ -180,6 +180,8 @@ def test_scan_without_out_is_schema_error(tmp_path):
         lambda c: c.update(tolerance=float("inf")),
         lambda c: c["model"].update(beta=[0, 10**400, 0]),  # no double holds it
         lambda c: c.update(a=["x"]),  # checked on every construct job
+        lambda c: c.update(INTERVAL, grid=[1]),  # a convexity check needs 2 nodes
+        lambda c: c.update(INTERVAL, grid=[-5]),
     ],
 )
 def test_schema_errors_exit_2(tmp_path, mutate):

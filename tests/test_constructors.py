@@ -243,8 +243,8 @@ def test_two_factor_d_four_point_case():
 
 
 def test_two_factor_d_four_point_asymmetric():
-    # unequal slopes leave the symmetric closed form; the numeric fallback
-    # must still deliver a certified optimum
+    # unequal slopes leave the symmetric closed form; the bracketed root must
+    # still satisfy the stationarity condition
     spec = logistic2((0.4, -0.7, -1.1))
     r = g.two_factor_design(spec, "D")
     assert r.case_label == "D-4pt"
@@ -257,8 +257,11 @@ def test_two_factor_d_four_point_asymmetric():
     np.testing.assert_allclose(cert, cert[0], rtol=1e-8)
 
 
+T_STAR = -0.8813735870195429  # -log(1 + sqrt(2)): the 3pt/4pt crossover at (0, t, t)
+
+
 def test_two_factor_d_crossover_pins():
-    t_star = -0.8813735870195429  # -log(1 + sqrt(2))
+    t_star = T_STAR
     below = poisson2((0.0, t_star - 2e-6, t_star - 2e-6))
     above = poisson2((0.0, t_star + 2e-6, t_star + 2e-6))
     rb = g.two_factor_design(below, "D")
@@ -267,6 +270,43 @@ def test_two_factor_d_crossover_pins():
     assert ra.case_label == "D-4pt" and ra.condition_ok
     assert g.verify_design(rb.design, below, 0.0, g.BinaryHypercube(2)).passed
     assert g.verify_design(ra.design, above, 0.0, g.BinaryHypercube(2)).passed
+
+
+@pytest.mark.parametrize(
+    "family,beta",
+    [
+        (g.logistic, (-3.2286750499921855, 1.2526184417374964, 0.876881186067525)),
+        (g.poisson_log, (1.5598561700462223, 0.3356283530568467, -1.7939543725885798)),
+        (g.poisson_log, (0.0, T_STAR + 1e-9, T_STAR + 1e-9)),
+        (g.poisson_log, (0.0, T_STAR + 1e-7, T_STAR + 2e-7)),
+    ],
+)
+def test_two_factor_d_four_point_edge_cases(family, beta):
+    # one weight within 1e-4 of zero; the last two sit just past the crossover
+    spec = g.ModelSpec(family, g.first_order_intercept(2), beta)
+    r = g.two_factor_design(spec, "D")
+    assert r.case_label == "D-4pt" and r.condition_ok
+    assert g.verify_design(r.design, spec, 0.0, g.BinaryHypercube(2)).passed
+
+
+def test_two_factor_d_four_point_branch_rule():
+    # at most one weight below 1/6, and only at the lowest-intensity corner
+    rng = np.random.default_rng(3)
+    four = lower = 0
+    for family in (g.logistic, g.poisson_log):
+        for beta in rng.uniform(-4.0, 2.0, size=(200, 3)):
+            spec = g.ModelSpec(family, g.first_order_intercept(2), tuple(beta))
+            r = g.two_factor_design(spec, "D")
+            if r.case_label != "D-4pt":
+                continue
+            four += 1
+            assert r.condition_ok
+            assert g.verify_design(r.design, spec, 0.0, g.BinaryHypercube(2)).passed
+            u = g.intensity_many(spec, np.asarray(SQUARE))
+            below = np.flatnonzero(np.asarray(r.design.weights) < 1.0 / 6.0)
+            assert below.size <= 1 and all(u[below] == u.min())
+            lower += below.size
+    assert four > 100 and 0 < lower < four
 
 
 @pytest.mark.parametrize(
