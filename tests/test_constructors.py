@@ -257,13 +257,12 @@ def test_two_factor_d_four_point_asymmetric():
     np.testing.assert_allclose(cert, cert[0], rtol=1e-8)
 
 
-T_STAR = -0.8813735870195429  # -log(1 + sqrt(2)): the 3pt/4pt crossover at (0, t, t)
+T_STAR = -0.8813735870195429  # -log(1 + sqrt(2)): Poisson 3pt/4pt crossover at beta = (0, t, t)
 
 
 def test_two_factor_d_crossover_pins():
-    t_star = T_STAR
-    below = poisson2((0.0, t_star - 2e-6, t_star - 2e-6))
-    above = poisson2((0.0, t_star + 2e-6, t_star + 2e-6))
+    below = poisson2((0.0, T_STAR - 2e-6, T_STAR - 2e-6))
+    above = poisson2((0.0, T_STAR + 2e-6, T_STAR + 2e-6))
     rb = g.two_factor_design(below, "D")
     ra = g.two_factor_design(above, "D")
     assert rb.case_label == "D-3pt" and rb.condition_ok
