@@ -141,7 +141,7 @@ def _construct(cfg: dict, spec: ModelSpec, k: float, region) -> ConstructResult:
     if support is not None:
         _require(isinstance(region, FiniteSet),
                  f"constructor {name!r} takes its support from a finite_set region")
-        count = spec.p if support == "p" else support
+        count = {"p": spec.p, "p+1": spec.p + 1}.get(support, support)
         _require(len(region.points) == count,
                  f"constructor {name!r} needs a finite_set of exactly {count} points")
         _require(region.nu == spec.nu,

@@ -5,6 +5,9 @@ ConstructResult bundling the design with the case that fired and the signed
 slack of that case's governing inequality.  Results with condition_ok=True
 are certifiable through the equivalence theorem on the stated region; the
 slack is reported so callers can trace decisions near case boundaries.
+D weights on p + 1 points, all carrying mass, come from one bracketed root
+(_d_root) behind one drop rule (_d_drop), for fourpoint_d_weights and for
+the four-point case of two_factor_design alike.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ CONDITION_SLACK = -1e-12
 
 # relative agreement demanded of the four-point stationarity certificate
 FOURPOINT_CERT_RTOL = 1e-8
-
-# relative symmetry tolerated by the four-point closed form
-FOURPOINT_SYM_RTOL = 1e-9
 
 D_CRITERION = "D"
 A_CRITERION = "A"
@@ -113,51 +113,84 @@ def saturated_weights(spec: ModelSpec, points, criterion: str) -> np.ndarray:
 
 
 def fourpoint_d_weights(spec: ModelSpec, points) -> np.ndarray:
-    """D-optimal weights on four points of a three-parameter model.
+    """D-optimal weights on p + 1 points of a p-parameter model, all
+    carrying mass.
 
-    Requires the symmetric configuration in which the middle two points have
-    equal intensity and equal squared complementary determinants; the outer
-    two weights then have a closed form and the middle pair share one.
+    By Cauchy-Binet det M = sum_j d_j^2 prod_{i != j} u_i w_i, where d_j is
+    the determinant of the regression rows without point j, so the weights
+    solve v_i w_i (1/p - w_i) = c with v_i = u_i / d_i^2 and sum(w) = 1, one
+    root (_d_root).  Raises ValueError when some d_j is zero, or when the
+    drop rule (_d_drop) puts the optimum on p of the points.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if spec.p != 3:
-        raise ValueError("the four-point closed form needs a three-parameter model")
-    if pts.shape[0] != 4:
-        raise ValueError(f"expected exactly 4 points, got {pts.shape[0]}")
+    p = spec.p
+    if pts.shape[0] != p + 1:
+        raise ValueError(f"expected exactly p + 1 = {p + 1} points, got {pts.shape[0]}")
     F = regression_matrix(spec, pts)
     u = intensity_many(spec, pts)
     scale = float(np.linalg.svd(F, compute_uv=False)[0])
-    d = np.empty(4)
-    for i in range(4):
-        d[i] = np.linalg.det(np.delete(F, i, axis=0))
-    if (np.abs(d) <= 1e-12 * scale ** 3).any():
-        raise ValueError("every three-point subset must span; a complementary determinant is zero")
-    d2 = d * d
-    if abs(u[1] - u[2]) > FOURPOINT_SYM_RTOL * max(u[1], u[2]):
-        raise ValueError("four-point closed form requires matching middle intensities")
-    if abs(d2[1] - d2[2]) > FOURPOINT_SYM_RTOL * max(d2[1], d2[2]):
-        raise ValueError("four-point closed form requires matching middle determinants")
-
-    # Stationarity of the support-restricted determinant.  In the reduced
-    # coordinates a, b below the shared middle weight solves a quadratic; the
-    # root written here is the one keeping all four weights in (0, 1), and
-    # the rationalized form stays finite as a, b -> 1 (equal weights).
-    a = (d2[1] / d2[0]) * (u[0] / u[1])
-    b = (d2[1] / d2[3]) * (u[3] / u[1])
-    disc = a * a + b * b + 14.0 * a * b + 16.0 * a * a * b * b - 8.0 * a * a * b - 8.0 * a * b * b
-    w2 = 2.0 * a * b / (8.0 * a * b - 2.0 * a - 2.0 * b + math.sqrt(disc))
-    half_diff = (a - b) * w2 / (4.0 * a * b)
-    w1 = (1.0 - 2.0 * w2) / 2.0 + half_diff
-    w4 = (1.0 - 2.0 * w2) / 2.0 - half_diff
-    w = np.array([w1, w2, w2, w4])
-    if (w <= 0.0).any() or (w >= 1.0).any():
+    d = np.array([np.linalg.det(np.delete(F, i, axis=0)) for i in range(p + 1)])
+    if (np.abs(d) <= 1e-12 * scale ** p).any():
+        raise ValueError("every p-point subset must span; a complementary determinant is zero")
+    v = u / (d * d)
+    if _d_drop(v)[1] >= 0.0:
         raise ValueError(
-            "four-point closed form produced a weight outside (0, 1); "
-            "the configuration does not admit a four-point optimum"
+            "the drop rule holds: the D optimum on these points leaves the smallest u/d^2 out"
         )
-    return w / float(w.sum())
+    return _d_root(v, p)
+
+
+def _d_drop(v: np.ndarray) -> tuple[int, float]:
+    """The point m of smallest v among p + 1, and the margin of the drop rule
+    1/v_m - sum_{i != m} 1/v_i.
+
+    With equal weights on the other p points the sensitivity at point m is
+    p v_m sum_{i != m} 1/v_i (Cramer's rule), so the D optimum on the p + 1
+    points drops m, and keeps the other p at 1/p each, exactly when the
+    margin is >= 0.  No other point j can be dropped: its rule would need
+    1/v_j >= 1/v_m + ..., which v_j >= v_m rules out.
+    """
+    order = np.argsort(v, kind="stable")
+    inv = 1.0 / v
+    return int(order[0]), float(inv[order[0]] - inv[order[1:]].sum())
+
+
+def _d_root(v: np.ndarray, p: int) -> np.ndarray:
+    """D-optimal weights on p + 1 points, all carrying mass: the root of
+    v_i w_i (1/p - w_i) = c with sum(w) = 1.
+
+    Every solution puts the sensitivity at p on all p + 1 points, so it is
+    the unique optimum, and with h = 1/(2p) each w_i = h +/- sqrt(h^2 - c/v_i)
+    lies in (0, 1/p).  Branch rule: two weights below h would leave the other
+    p - 1, each below 1/p, short of 1.  If v_m <= v_j for another point m and
+    j took the lower root, w_j and 1/p - w_m would be at most h with
+    w_j (1/p - w_j) = c/v_j <= c/v_m = w_m (1/p - w_m), so w_j + w_m <= 1/p
+    and the other p - 1 could not make up the rest.  So only the smallest-v
+    point m may take the lower root.
+
+    The bisection runs in s = w_m - h, which spans both branches of m.  With
+    b_i = v_m / v_i <= 1 every other weight is h + R_i, where
+    R_i = sqrt(h^2 (1 - b_i) + s^2 b_i) is free of cancellation, and
+    sum(w) - 1 = (s + h) g(s), g(s) = 1 - sum_{i != m} b_i (h - s) / (R_i + h).
+    g does not decrease in s; it is v_m times the drop margin of _d_drop at
+    s = -h and 1 at s = h.
+    """
+    v = [float(vi) for vi in v]
+    m = v.index(min(v))
+    h = 0.5 / p
+    b = [v[m] / vi for i, vi in enumerate(v) if i != m]
+
+    def others(s: float) -> list[float]:
+        return [math.sqrt(h * h * (1.0 - bi) + s * s * bi) for bi in b]
+
+    lo, hi, s = -h, h, 0.0
+    while lo < s < hi:
+        g = 1.0 - sum(bi * (h - s) / (ri + h) for bi, ri in zip(b, others(s)))
+        lo, hi = (lo, s) if g > 0.0 else (s, hi)
+        s = 0.5 * (lo + hi)
+    return np.insert(h + np.array(others(s)), m, h + s)
 
 
 def phik_axis_weights(spec: ModelSpec, a, k: float) -> np.ndarray:
@@ -270,53 +303,15 @@ def _a_case_shortfall(q: np.ndarray, case: int) -> float:
     return q4 * q4 - rhs
 
 
-def _fourpoint_d_root(u: np.ndarray) -> np.ndarray:
-    """D-optimal weights on the four corners of {0, 1}^2, all carrying mass.
-
-    Any three corners have |det| = 1, so the weights solve u_i w_i (1/3 - w_i)
-    = c with sum(w) = 1, and every solution puts the sensitivity at p = 3 on
-    all four corners: it is the unique optimum.  So c > 0, each w_i lies in
-    (0, 1/3), w_i = 1/6 +/- r_i with r_i = sqrt(1/36 - c/u_i) and c <= c* =
-    min(u)/36.  Branch rule: two weights below 1/6 would leave the four summing
-    below 1, so at most one corner j takes the lower root.  If u_m <= u_j for
-    another corner m, then w_j and 1/3 - w_m are at most 1/6 with
-    w_j (1/3 - w_j) = c/u_j <= c/u_m = w_m (1/3 - w_m), so w_j + w_m <= 1/3
-    and the other two, each below 1/3, cannot make up 2/3.  Only the
-    lowest-intensity corner m takes the lower root, and it does exactly when
-    the upper roots, whose sum falls strictly in c, still sum above 1 at c*.
-    With s_i = (c/u_i)/(1/6 + r_i), the distance to 1/3 (to 0 on the lower
-    root), sum(w) - 1 is 1/3 - sum(s), or s_m - sum_{i != m} s_i, free of
-    cancellation; the latter tends to 3c times the negative three-point
-    margin as c -> 0 and is positive at c*.  Bisection on its sign closes
-    [0, c*] in double precision.
-    """
-    u = [float(v) for v in u]
-    m = u.index(min(u))
-
-    def gaps(c: float) -> list[float]:
-        return [(c / ui) / (1.0 / 6.0 + math.sqrt(max(0.0, 1.0 / 36.0 - c / ui))) for ui in u]
-
-    lo, hi = 0.0, u[m] / 36.0
-    lower = sum(gaps(hi)) < 1.0 / 3.0
-    c = 0.5 * hi
-    while lo < c < hi:
-        s = gaps(c)
-        # sum(w) - 1 falls in c on the upper branch and rises on the lower one
-        excess = 2.0 * s[m] - sum(s) if lower else 1.0 / 3.0 - sum(s)
-        lo, hi = (lo, c) if (excess > 0.0) == lower else (c, hi)
-        c = 0.5 * (lo + hi)
-    s = gaps(c)
-    return np.array([si if lower and i == m else 1.0 / 3.0 - si for i, si in enumerate(s)])
-
-
 def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     """Optimal design on the corners of {0, 1}^2 for a two-factor model with
     intercept.
 
-    D: either equal weights on the three highest-intensity corners (when the
-    lowest corner is uninformative enough) or four-point weights solving
-    u_i w_i (1/3 - w_i) = c as one bracketed root in c (_fourpoint_d_root),
-    certified by the sensitivity reaching p = 3 at all four corners.
+    D: any three corners have |det| = 1, so v = u in the (p+1)-point rule:
+    either equal weights on the three highest-intensity corners when the
+    drop rule holds (_d_drop), or four-point weights solving
+    u_i w_i (1/3 - w_i) = c (_d_root), certified by the sensitivity reaching
+    p = 3 at all four corners.
     A: one of four dominant-corner three-point designs, falling back to
     numerically optimized four-point weights when no inequality holds.
     """
@@ -328,14 +323,11 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     u = intensity_many(spec, corners)
 
     if crit == D_CRITERION:
-        order = np.argsort(u, kind="stable")
-        inv = 1.0 / u
-        margin3 = float(inv[order[0]] - inv[order[1:]].sum())
+        dropped, margin3 = _d_drop(u)
         if margin3 >= 0.0:
-            keep = np.sort(order[1:])
-            design = Design.from_arrays(corners[keep], np.full(3, 1.0 / 3.0))
+            design = Design.from_arrays(np.delete(corners, dropped, axis=0), np.full(3, 1.0 / 3.0))
             return _result(design, "D-3pt", margin3)
-        design = Design.from_arrays(corners, _fourpoint_d_root(u))
+        design = Design.from_arrays(corners, _d_root(u, 3))
         # certificate: the sensitivity reaches p = 3 at all four corners
         miss = float(np.abs(_SensitivityKernel(design, spec, 0.0).many(corners) - 3.0).max())
         if miss > FOURPOINT_CERT_RTOL * 3.0:
@@ -389,7 +381,10 @@ def corner_design_multifactor(spec: ModelSpec, criterion: str) -> ConstructResul
             + (2.0 * qs[0] / math.sqrt(nu + 1.0)) * (s - 1.0) * (corners @ qs[1:])
         )
         label = "A-corner"
-    margin = float((1.0 / u_cor - lhs).min())
+    # 1 - u lhs, not 1/u - lhs: where u is small the rounding of 1/u - lhs
+    # outgrows the absolute slack, above all at the support corners, where
+    # the inequality is an identity
+    margin = float((1.0 - u_cor * lhs).min())
     return _result(Design.from_arrays(support, w), label, margin)
 
 
@@ -544,7 +539,8 @@ def _axis_weights(spec, k, a, **_):
 # name -> (criterion rule, finite_set support size, builder).  Rules: "D or A"
 # hands order k = 0 or 1 on as "D" or "A", "D only" admits k = 0 alone, and
 # "any k" hands k on as it is.  A support size asks for a finite_set region
-# with that many points of the model's dimension ("p": one per parameter).
+# with that many points of the model's dimension ("p": one per parameter,
+# "p+1": one more).
 CONSTRUCTORS = {
     "binary_two_point_design": ("D or A", 2, _two_point),
     "interval_boundary_design": ("D or A", None, _interval),
@@ -553,6 +549,6 @@ CONSTRUCTORS = {
     "axis_design": ("any k", None, _axis),
     "hypercube_linear_design": ("D or A", None, _layers),
     "saturated_weights": ("D or A", "p", _saturated),
-    "fourpoint_d_weights": ("D only", 4, _fourpoint),
+    "fourpoint_d_weights": ("D only", "p+1", _fourpoint),
     "phik_axis_weights": ("any k", None, _axis_weights),
 }

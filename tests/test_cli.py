@@ -88,6 +88,24 @@ def test_construct_verify_round_trip(tmp_path):
     assert report["worst_gap"] <= 1e-7 * max(1.0, abs(report["bound"]))
 
 
+def test_fourpoint_five_point_construct_verifies(tmp_path):
+    # fourpoint_d_weights takes p + 1 = 5 points for a three-factor model
+    five = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+    model = {"family": "probit", "kind": "first_order_intercept", "nu": 3,
+             "beta": [0.1, -0.5, 0.4, 0.3]}
+    region = {"type": "finite_set", "points": five}
+    construct = {"task": "construct", "constructor": "fourpoint_d_weights",
+                 "criterion": {"k": 0}, "model": model, "region": region}
+    code, out = run_cli(tmp_path, construct)
+    assert code == EXIT_OK
+    design = json.loads(out)["design"]
+    assert design["points"] == five
+    verify = {"task": "verify", "model": model, "criterion": {"k": 0}, "region": region,
+              "design_in": design}
+    code, out2 = run_cli(tmp_path, verify)
+    assert code == EXIT_OK and json.loads(out2)["pass"] is True
+
+
 def test_verify_failure_emits_report_with_exit_1(tmp_path):
     verify = {
         "task": "verify",
@@ -241,6 +259,11 @@ FINITE_2 = {"type": "finite_set", "points": [[0.0], [1.0]]}
             {"constructor": "saturated_weights",
              "region": {"type": "finite_set", "points": [[0.0], [1.0], [2.0]]}},
             "constructor 'saturated_weights' needs 2-dimensional finite_set points",
+        ),
+        (
+            {"constructor": "fourpoint_d_weights",
+             "region": {"type": "finite_set", "points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]}},
+            "constructor 'fourpoint_d_weights' needs a finite_set of exactly 4 points",
         ),
     ],
 )

@@ -79,7 +79,21 @@ def test_binary_two_point_design_matches_saturated():
     assert rep.passed
 
 
-# --------------------------------------------------- four-point closed form
+# ------------------------------------------------- (p+1)-point D weights
+
+
+def symmetric_fourpoint_reference(u, d2):
+    """The paper's closed form for four points of a three-parameter model
+    whose middle two share u_i and d_i^2: the middle weight solves a
+    quadratic, written in the rationalized root that keeps all four weights
+    in (0, 1) and stays finite at equal weights."""
+    a = (d2[1] / d2[0]) * (u[0] / u[1])
+    b = (d2[1] / d2[3]) * (u[3] / u[1])
+    disc = a * a + b * b + 14.0 * a * b + 16.0 * a * a * b * b - 8.0 * a * a * b - 8.0 * a * b * b
+    w2 = 2.0 * a * b / (8.0 * a * b - 2.0 * a - 2.0 * b + math.sqrt(disc))
+    half_diff = (a - b) * w2 / (4.0 * a * b)
+    w = np.array([(1.0 - 2.0 * w2) / 2.0 + half_diff, w2, w2, (1.0 - 2.0 * w2) / 2.0 - half_diff])
+    return w / w.sum()
 
 
 def test_fourpoint_frozen_weights():
@@ -112,12 +126,77 @@ def test_fourpoint_on_scaled_non_binary_support():
 
 
 def test_fourpoint_precondition_errors():
-    with pytest.raises(ValueError):
-        # unequal middle intensities
-        g.fourpoint_d_weights(poisson2((0.0, -1.0, -2.0)), SQUARE)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="complementary determinant is zero"):
+        # without (0, 1) the other three points are collinear
+        g.fourpoint_d_weights(poisson2((0.0, -0.3, -0.3)), ((0, 0), (1, 0), (2, 0), (0, 1)))
+    with pytest.raises(ValueError, match="exactly p \\+ 1 = 4 points"):
+        g.fourpoint_d_weights(poisson2((0.0, -0.3, -0.3)), SQUARE[:3])
+    with pytest.raises(ValueError, match="drop rule"):
         # far inside the three-point regime: no interior four-point optimum
         g.fourpoint_d_weights(poisson2((0.0, -3.0, -3.0)), SQUARE)
+
+
+def test_fourpoint_matches_symmetric_closed_form():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for _ in range(200):
+        b0, t = rng.uniform(-1.0, 1.0), rng.uniform(-0.8, 0.8)
+        scale = rng.uniform(0.5, 2.0)
+        pts = ((0.0, 0.0), (scale, 0.0), (0.0, scale), (scale, scale))
+        for family in (g.logistic, g.poisson_log):
+            spec = g.ModelSpec(family, g.first_order_intercept(2), (b0, t, t))
+            try:
+                w = g.fourpoint_d_weights(spec, pts)
+            except ValueError:
+                continue  # the drop rule holds: no four-point optimum
+            F = g.regression_matrix(spec, np.asarray(pts))
+            d2 = np.array([np.linalg.det(np.delete(F, i, axis=0)) ** 2 for i in range(4)])
+            ref = symmetric_fourpoint_reference(g.intensity_many(spec, np.asarray(pts)), d2)
+            np.testing.assert_allclose(w, ref, rtol=1e-12)
+            checked += 1
+    assert checked > 300
+
+
+def test_fourpoint_asymmetric_matches_descent():
+    spec = poisson2((0.0, -0.3, -0.6))
+    w = g.fourpoint_d_weights(spec, SQUARE)
+    d = g.optimize_weights(spec, SQUARE, 0.0, g.OptimizerOptions(convergence_tol=1e-11))
+    np.testing.assert_allclose(w, d.weights, atol=1e-10)
+
+
+# origin, the three unit vectors and (1, 1, 1): every four of them span
+CUBE_FIVE = ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0))
+
+
+def test_fourpoint_five_points_four_parameters():
+    spec = g.ModelSpec(g.probit, g.first_order_intercept(3), (0.1, -0.5, 0.4, 0.3))
+    w = g.fourpoint_d_weights(spec, CUBE_FIVE)
+    assert w.shape == (5,) and (w > 0.0).all()
+    rep = g.verify_design(g.Design.from_arrays(CUBE_FIVE, w), spec, 0.0, g.FiniteSet(CUBE_FIVE))
+    assert rep.passed and max(rep.support_residuals) <= 1e-11 * 4
+
+
+def test_fourpoint_random_supports_meet_support_condition():
+    # d(x_i) = p on every support point, for p = 2, 3, 4 and three families;
+    # at most one weight below 1/(2p), at the smallest u_i / d_i^2
+    rng = np.random.default_rng(5)
+    kinds = {2: g.single_factor_intercept(), 3: g.first_order_intercept(2),
+             4: g.first_order_intercept(3)}
+    solved = 0
+    for p, kind in kinds.items():
+        for family in (g.logistic, g.poisson_log, g.probit):
+            for _ in range(40):
+                spec = g.ModelSpec(family, kind, tuple(rng.uniform(-1.5, 1.5, p)))
+                pts = rng.uniform(-1.0, 1.0, (p + 1, p - 1))
+                try:
+                    w = g.fourpoint_d_weights(spec, pts)
+                except ValueError:
+                    continue  # the drop rule holds
+                solved += 1
+                assert abs(w.sum() - 1.0) <= 1e-15 and (w < 0.5 / p).sum() <= 1
+                rep = g.verify_design(g.Design.from_arrays(pts, w), spec, 0.0, g.FiniteSet(pts))
+                assert max(rep.support_residuals) <= 1e-11 * p, (p, family.name, rep)
+    assert solved > 80
 
 
 def test_fourpoint_agrees_with_brute_force():
@@ -278,10 +357,14 @@ def test_two_factor_d_crossover_pins():
         (g.poisson_log, (1.5598561700462223, 0.3356283530568467, -1.7939543725885798)),
         (g.poisson_log, (0.0, T_STAR + 1e-9, T_STAR + 1e-9)),
         (g.poisson_log, (0.0, T_STAR + 1e-7, T_STAR + 2e-7)),
+        (g.poisson_log, (0.0, -0.4664863872654101, -0.4664863872654101)),
+        (g.poisson_log, (0.0, -0.4664863882754101, -0.4664863882754101)),
+        (g.poisson_log, (0.0, -0.4664863782654101, -0.4664863782654101)),
     ],
 )
 def test_two_factor_d_four_point_edge_cases(family, beta):
-    # one weight within 1e-4 of zero; the last two sit just past the crossover
+    # one weight within 1e-4 of zero; the next two sit just past the crossover;
+    # the last three put the corner (1, 1) at the branch point w = 1/6
     spec = g.ModelSpec(family, g.first_order_intercept(2), beta)
     r = g.two_factor_design(spec, "D")
     assert r.case_label == "D-4pt" and r.condition_ok
@@ -394,6 +477,23 @@ def test_corner_design_gamma_with_intercept():
     # gamma domain excludes nothing here: all corners give positive predictor
     rep = g.verify_design(r.design, spec, 0.0, g.BinaryHypercube(2))
     assert rep.passed
+
+
+def test_corner_condition_decides_certification():
+    # the paper states the corner condition as iff: condition_ok must agree
+    # with the equivalence theorem, including probit A, where 1/u is large at
+    # the support corners and an absolute slack on 1/u - lhs gave false
+    # negatives
+    rng = np.random.default_rng(11)
+    for family in (g.probit, g.logistic, g.poisson_log):
+        for crit, k in (("D", 0.0), ("A", 1.0)):
+            for nu in (2, 3, 4):
+                for _ in range(100):
+                    beta = (rng.uniform(-1.0, 1.0), *rng.uniform(-5.0, -0.5, nu))
+                    spec = g.ModelSpec(family, g.first_order_intercept(nu), beta)
+                    r = g.corner_design_multifactor(spec, crit)
+                    rep = g.verify_design(r.design, spec, k, g.BinaryHypercube(nu))
+                    assert r.condition_ok == rep.passed, (family.name, crit, beta)
 
 
 # ------------------------------------------------------------ axis designs
