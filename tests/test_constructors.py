@@ -178,15 +178,18 @@ def test_fourpoint_five_points_four_parameters():
 
 def test_fourpoint_random_supports_meet_support_condition():
     # d(x_i) = p on every support point, for p = 2, 3, 4 and three families;
-    # at most one weight below 1/(2p), at the smallest u_i / d_i^2
+    # at most one weight below 1/(2p).  With one factor, three points share
+    # the optimum only under a steep slope.
     rng = np.random.default_rng(5)
     kinds = {2: g.single_factor_intercept(), 3: g.first_order_intercept(2),
              4: g.first_order_intercept(3)}
-    solved = 0
     for p, kind in kinds.items():
+        slope = 6.0 if p == 2 else 1.5
+        solved = 0
         for family in (g.logistic, g.poisson_log, g.probit):
             for _ in range(40):
-                spec = g.ModelSpec(family, kind, tuple(rng.uniform(-1.5, 1.5, p)))
+                beta = (rng.uniform(-1.0, 1.0), *rng.uniform(-slope, slope, p - 1))
+                spec = g.ModelSpec(family, kind, beta)
                 pts = rng.uniform(-1.0, 1.0, (p + 1, p - 1))
                 try:
                     w = g.fourpoint_d_weights(spec, pts)
@@ -196,7 +199,7 @@ def test_fourpoint_random_supports_meet_support_condition():
                 assert abs(w.sum() - 1.0) <= 1e-15 and (w < 0.5 / p).sum() <= 1
                 rep = g.verify_design(g.Design.from_arrays(pts, w), spec, 0.0, g.FiniteSet(pts))
                 assert max(rep.support_residuals) <= 1e-11 * p, (p, family.name, rep)
-    assert solved > 80
+        assert solved >= 8, p
 
 
 def test_fourpoint_agrees_with_brute_force():
@@ -364,7 +367,7 @@ def test_two_factor_d_crossover_pins():
 )
 def test_two_factor_d_four_point_edge_cases(family, beta):
     # one weight within 1e-4 of zero; the next two sit just past the crossover;
-    # the last three put the corner (1, 1) at the branch point w = 1/6
+    # the last three put the corner (1, 1) within 1e-8 of the branch point w = 1/6
     spec = g.ModelSpec(family, g.first_order_intercept(2), beta)
     r = g.two_factor_design(spec, "D")
     assert r.case_label == "D-4pt" and r.condition_ok
@@ -481,9 +484,8 @@ def test_corner_design_gamma_with_intercept():
 
 def test_corner_condition_decides_certification():
     # the paper states the corner condition as iff: condition_ok must agree
-    # with the equivalence theorem, including probit A, where 1/u is large at
-    # the support corners and an absolute slack on 1/u - lhs gave false
-    # negatives
+    # with the equivalence theorem, also for probit A, whose 1/u is large at
+    # the support corners
     rng = np.random.default_rng(11)
     for family in (g.probit, g.logistic, g.poisson_log):
         for crit, k in (("D", 0.0), ("A", 1.0)):
