@@ -313,7 +313,8 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     u_i w_i (1/3 - w_i) = c (_d_root), certified by the sensitivity reaching
     p = 3 at all four corners.
     A: one of four dominant-corner three-point designs, falling back to
-    numerically optimized four-point weights when no inequality holds.
+    four-point weights from the Newton weight solve at tolerance 1e-12 when
+    no inequality holds.
     """
     crit = _criterion(criterion)
     _require_kind(spec, (FIRST_ORDER_INTERCEPT,), "the two-factor design")
@@ -342,12 +343,7 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
             w = np.asarray(mult) * q[list(others)]
             design = Design.from_arrays(corners[list(others)], w / w.sum())
             return _result(design, f"A-3pt-drop{dom + 1}", margin)
-    design = optimize_weights(
-        spec,
-        corners,
-        1.0,
-        OptimizerOptions(convergence_tol=1e-12, max_iterations=200_000),
-    )
+    design = optimize_weights(spec, corners, 1.0, OptimizerOptions(convergence_tol=1e-12))
     # governing condition: no dominant-corner inequality holds
     margin = float(-max(shortfalls))
     return _result(design, "A-4pt-numeric", margin)

@@ -352,11 +352,14 @@ def _eigvals_checked(M: np.ndarray) -> np.ndarray:
     return _gate(np.linalg.eigvalsh(_check_symmetric(M)))
 
 
-def _eigen_basis(M: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _eigen_basis(
+    M: np.ndarray, k: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Eigen core of the order-k equivalence theorem for a symmetric M.
 
-    Returns the ascending eigenvalues lam, the basis B = Q lam^-(k+1)/2 (so
-    that f^T M^-(k+1) f = ||B^T f||^2) and the bound trace M^-k.  Raises
+    Returns the ascending eigenvalues lam, their orthonormal eigenvectors Q,
+    the basis B = Q lam^-(k+1)/2 (so that f^T M^-(k+1) f = ||B^T f||^2) and
+    the bound trace M^-k.  Raises
     SingularMatrixError past the SINGULARITY_RATIO gate and
     CriterionOverflowError when the bound or B would leave the double range.
     """
@@ -369,7 +372,7 @@ def _eigen_basis(M: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray, float
             f"(smallest eigenvalue {float(lam[0])!r})"
         )
     B = Q * lam ** (-(k + 1.0) / 2.0)
-    return lam, B, float((lam ** -k).sum())
+    return lam, Q, B, float((lam ** -k).sum())
 
 
 def min_eigenvalue(M) -> float:

@@ -75,7 +75,7 @@ class _SensitivityKernel:
         self.spec = spec
         self.k = k
         # columns scaled so that sensitivity is u * ||B^T f||^2
-        _, self._B, self.bound = _eigen_basis(information_matrix(design, spec), k)
+        _, _, self._B, self.bound = _eigen_basis(information_matrix(design, spec), k)
 
     def many(self, pts: np.ndarray) -> np.ndarray:
         F = regression_matrix(self.spec, pts)

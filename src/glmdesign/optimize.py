@@ -1,10 +1,13 @@
-"""Iterative design search: weight descent on a fixed support, vertex
+"""Iterative design search: Newton weight solves on a fixed support, vertex
 exchange over a finite region, and an exhaustive simplex-grid oracle.
 
-The multiplicative rule rescales each weight by (sensitivity / bound) to the
-power 1/(k+1) and renormalizes; the criterion value is checked to be
-non-increasing at every step.  Everything here is deterministic: identical
-options and inputs reproduce identical weight sequences bit for bit.
+Weights on a fixed support minimize log Phi_k(M(w)) over the probability
+simplex by damped Newton steps on the active set (the points carrying
+weight), in the manner of the optimal weights exchange algorithm of Yang,
+Biedermann and Tang (2013).  Steps that reach the simplex boundary set the
+blocking weight to exactly zero.  Everything here is deterministic:
+identical options and inputs reproduce identical weight sequences bit for
+bit.
 """
 
 from __future__ import annotations
@@ -26,15 +29,19 @@ from .designs import (
     region_points,
 )
 from .equivalence import VerificationReport, _SensitivityKernel, verify_design
-from .errors import ConvergenceError, SingularMatrixError
+from .errors import ConvergenceError, CriterionOverflowError, SingularMatrixError
 from .models import ModelSpec, intensity_many, regression_matrix
 
-# Weights below this are dropped from a search support after reweighting.
-PRUNE_WEIGHT = 1e-8
+# Armijo constant: a step must realize this share of its predicted decrease.
+ARMIJO = 1e-4
 
-# Multiplicative updates never drive a weight below this floor, so supports
-# stay strictly positive even when a point is numerically dead.
-WEIGHT_FLOOR = 1e-250
+# Step halvings before the line search gives up.
+MAX_HALVINGS = 60
+
+# Reduced-Hessian eigenvalues at or below this multiple of the largest are
+# treated as zero curvature: w -> M(w) has rank at most p(p+1)/2, so larger
+# supports leave directions along which the criterion is constant.
+CURVATURE_RCOND = 1e-12
 
 _BRUTE_FORCE_CAP = 30_000_000
 
@@ -79,70 +86,162 @@ def _scaled_rows(spec: ModelSpec, pts: np.ndarray) -> np.ndarray:
     return F * np.sqrt(u)[:, None]
 
 
-def _state(G: np.ndarray, w: np.ndarray, k: float):
-    """Eigen state of M(w): per-point sensitivities, bound, criterion value."""
-    M = (G * w[:, None]).T @ G
-    lam, B, bound = _eigen_basis((M + M.T) / 2.0, k)
-    GB = G @ B
-    sens = np.einsum("ij,ij->i", GB, GB)
-    return sens, bound, float(_phi_from_eigenvalues(lam, k))
+class _State:
+    """Eigen state of M(w): per-point sensitivities, bound and f = log Phi_k.
+
+    The gradient of f in the weights is -sens / bound.
+    """
+
+    def __init__(self, G: np.ndarray, w: np.ndarray, k: float):
+        M = (G * w[:, None]).T @ G
+        self.lam, Q, B, self.bound = _eigen_basis((M + M.T) / 2.0, k)
+        GB = G @ B
+        self.sens = np.einsum("ij,ij->i", GB, GB)
+        self.f = float(np.log(_phi_from_eigenvalues(self.lam, k)))
+        self._G, self._Q, self.k = G, Q, k
+
+    def hessian(self, idx: np.ndarray) -> np.ndarray:
+        """Hessian of f in the weights of the points idx (m x m, m^2 memory).
+
+        With mu = lam / lam_min, T = sum mu^-k and g = sens / bound:
+        H = C / T - k g g^T, C_ij = sum_pq d_pq a_ip a_jp a_iq a_jq, where
+        d_pq = (mu_q^-(k+1) - mu_p^-(k+1)) / (mu_p - mu_q), and
+        (k+1) mu^-(k+2) on ties, is the Daleckii-Krein divided difference.
+        It is evaluated as exp(-k min(L) - L_p - L_q) sinh((k+1)t) / sinh(t)
+        with L = log mu and t = (L_p - L_q) / 2, which neither cancels at
+        near-ties nor overflows.  At k = 0 this is (g_i^T M^-1 g_j)^2 / p.
+        """
+        k = self.k
+        L = np.log(self.lam / self.lam[0])
+        t = np.abs(L[:, None] - L[None, :]) / 2.0
+        with np.errstate(invalid="ignore"):
+            ratio = np.where(t > 0.0, np.expm1(-2.0 * (k + 1.0) * t) / np.expm1(-2.0 * t), k + 1.0)
+        d = np.exp(-k * np.minimum(L[:, None], L[None, :]) - L[:, None] - L[None, :]) * ratio
+        # a_i = Q^T g_i / sqrt(lam_min): O(1) entries whatever the scale of M
+        A = (self._G[idx] @ self._Q) / math.sqrt(self.lam[0])
+        P = (A[:, :, None] * A[:, None, :]).reshape(A.shape[0], -1)
+        g = self.sens[idx] / self.bound
+        H = (P * d.ravel()) @ P.T / np.exp(-k * L).sum() - k * np.outer(g, g)
+        return (H + H.T) / 2.0
 
 
 def _support_gap(sens: np.ndarray, bound: float, w: np.ndarray) -> float:
     """Relative distance from restricted optimality on a fixed support.
 
-    Points must not exceed the bound, and every point actually carrying
-    weight must sit on it; points driven (numerically) to zero weight are
-    allowed below, matching the simplex-boundary optimality condition.
+    Points must not exceed the bound, and every point carrying weight must
+    sit on it; points at zero weight may fall below, matching the
+    simplex-boundary optimality condition.
     """
     scale = max(1.0, abs(bound))
     over = float(sens.max()) - bound
-    carrying = w >= PRUNE_WEIGHT
-    under = bound - float(sens[carrying].min())
+    under = bound - float(sens[w > 0.0].min())
     return max(over, under) / scale
 
 
-def _descend(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptions):
-    """Run the multiplicative weight rule; returns (w, relative gap, converged, iters)."""
+def _newton_direction(state: _State, idx: np.ndarray) -> np.ndarray:
+    """Newton step on the points idx, constrained to keep the weight sum:
+    d = -(P H P)^+ P grad with P the projector onto sum-zero vectors."""
+    m = idx.shape[0]
+    P = np.eye(m) - 1.0 / m
+    grad = -state.sens[idx] / state.bound
+    HP = P @ state.hessian(idx) @ P
+    d = -np.linalg.pinv(HP, rcond=CURVATURE_RCOND, hermitian=True) @ (P @ grad)
+    return d - d.mean()
+
+
+def _solve_weights(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptions):
+    """Minimize log Phi_k(M(w)) over the simplex by Newton steps on the
+    active set S = {w > 0}; returns (w, relative gap, converged, iterations).
+
+    Each iteration costs one p x p eigen-decomposition per line-search trial
+    and an m x m Hessian over the m active points (m^2 memory, m p^2 for
+    its factors).  Once the points of S balance within the tolerance, the
+    inactive point most above the bound joins S.  The Armijo test allows a
+    rounding slack of 1e-12 max(1, |f|): near the optimum the predicted
+    decrease, about gap^2, falls below the rounding of f.
+    """
+    tol = opts.convergence_tol
     w = w0.copy()
-    sens, bound, phi = _state(G, w, k)
-    delta = 1.0 / (k + 1.0)
-    gap = _support_gap(sens, bound, w)
-    for it in range(1, opts.max_iterations + 1):
-        if gap <= opts.convergence_tol:
-            return w, gap, True, it - 1
-        w = w * (sens / bound) ** delta
-        w = np.maximum(w, WEIGHT_FLOOR)
-        w = w / w.sum()
-        sens, bound, new_phi = _state(G, w, k)
-        if new_phi > phi + 1e-12 * max(1.0, abs(phi)):
+    state = _State(G, w, k)
+    for it in range(opts.max_iterations + 1):
+        gap = _support_gap(state.sens, state.bound, w)
+        if gap <= tol:
+            return w, gap, True, it
+        if it == opts.max_iterations:
+            break
+        idx = np.flatnonzero(w > 0.0)
+        scale = max(1.0, abs(state.bound))
+        d = None
+        if float(np.abs(state.sens[idx] - state.bound).max()) <= tol * scale:
+            # S is solved, so some inactive point sits above the bound
+            j = int(np.argmax(np.where(w > 0.0, -np.inf, state.sens)))
+            grown = np.sort(np.append(idx, j))
+            d = _newton_direction(state, grown)
+            if d[np.searchsorted(grown, j)] > 0.0:
+                idx = grown
+            else:
+                d = None
+        if d is None:
+            d = _newton_direction(state, idx)
+        slope = float(-state.sens[idx] @ d) / state.bound
+        if not slope < 0.0:
             raise ConvergenceError(
-                f"multiplicative step increased the criterion ({phi!r} -> {new_phi!r})"
+                f"Newton weight step is not a descent direction at relative gap {gap!r}"
             )
-        phi = new_phi
-        gap = _support_gap(sens, bound, w)
-    return w, gap, gap <= opts.convergence_tol, opts.max_iterations
+        wS = w[idx]
+        shrink = d < 0.0
+        ratios = np.full(idx.shape[0], np.inf)
+        ratios[shrink] = wS[shrink] / -d[shrink]
+        block = int(np.argmin(ratios))
+        t = min(1.0, float(ratios[block]))
+        reaches = ratios[block] <= 1.0
+        slack = 1e-12 * max(1.0, abs(state.f))
+        for _ in range(MAX_HALVINGS):
+            trial = w.copy()
+            trial[idx] = np.maximum(wS + t * d, 0.0)
+            if reaches:
+                trial[idx[block]] = 0.0
+            trial /= trial.sum()
+            try:
+                new = _State(G, trial, k)
+            except (SingularMatrixError, CriterionOverflowError):
+                new = None
+            if new is not None and new.f <= state.f + ARMIJO * t * slope + slack:
+                break
+            t *= 0.5
+            reaches = False
+        else:
+            raise ConvergenceError(
+                f"Newton line search failed at relative gap {gap!r} after {it} iterations"
+            )
+        w, state = trial, new
+    return w, gap, False, opts.max_iterations
 
 
 def optimize_weights(
     spec: ModelSpec, points, k: float, opts: OptimizerOptions | None = None
 ) -> Design:
     """Optimal weights on a fixed support, to within the restricted
-    equivalence gap tolerance of ``opts``."""
+    equivalence gap tolerance of ``opts``.
+
+    Points whose optimal weight is zero are left out of the returned design,
+    so it may have fewer points than ``points``.
+    """
     opts = opts or OptimizerOptions()
     k = parse_criterion_order(k)
     if math.isinf(k):
-        raise ValueError("weight descent requires a finite criterion order")
+        raise ValueError("weight optimization requires a finite criterion order")
     pts = _as_support(spec, points)
     G = _scaled_rows(spec, pts)
     w0 = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    w, gap, converged, _ = _descend(G, w0, k, opts)
+    w, gap, converged, _ = _solve_weights(G, w0, k, opts)
     if not converged:
         raise ConvergenceError(
-            f"weight descent stalled at relative gap {gap!r} after "
+            f"Newton weight solve stopped at relative gap {gap!r} after "
             f"{opts.max_iterations} iterations"
         )
-    return Design.from_arrays(pts, w)
+    keep = w > 0.0
+    return Design.from_arrays(pts[keep], w[keep])
 
 
 def optimize_design(
@@ -150,10 +249,12 @@ def optimize_design(
 ) -> DesignSearchResult:
     """Vertex-exchange search over a finite region.
 
-    Starts from a greedy maximum-volume spanning subset, alternates weight
-    descent with adding the worst (most sensitive) region point, and prunes
-    negligible weights.  On non-convergence the best iterate is still
-    returned, flagged through ``converged`` and its report.
+    Starts from a greedy maximum-volume spanning subset, alternates Newton
+    weight solves with adding the worst (most sensitive) region point, and
+    drops points whose weight reaches zero.  Each solve starts from the
+    previous weights with the new point at zero.  On non-convergence the
+    last iterate is still returned, flagged through ``converged`` and its
+    report.
     """
     opts = opts or OptimizerOptions()
     k = parse_criterion_order(k)
@@ -178,36 +279,29 @@ def optimize_design(
         chosen.append(i)
         q = R[i] / math.sqrt(float(norms[i]))
         R = R - np.outer(R @ q, q)
-    support = [cand[i] for i in sorted(chosen)]
+    support = sorted(chosen)
+    w = np.full(p, 1.0 / p)
 
     design = None
     converged = False
     iterations = 0
     for outer in range(1, opts.max_iterations + 1):
         iterations = outer
-        while True:
-            pts = np.asarray(support)
-            G = _scaled_rows(spec, pts)
-            w0 = np.full(pts.shape[0], 1.0 / pts.shape[0])
-            w, _, balanced, _ = _descend(G, w0, k, opts)
-            keep = w >= PRUNE_WEIGHT
-            if keep.all() or keep.sum() < p:
-                break
-            # re-optimize on the trimmed support so the certificate below
-            # describes the weights actually returned
-            support = [s for s, kp in zip(support, keep) if kp]
-        design = Design.from_arrays(pts, w)
+        w, _, balanced, _ = _solve_weights(G_all[support], w, k, opts)
+        keep = w > 0.0
+        support = [i for i, kp in zip(support, keep) if kp]
+        w = w[keep]
+        design = Design.from_arrays(cand[support], w)
         kernel = _SensitivityKernel(design, spec, k)
         gaps = kernel.many(cand) - kernel.bound
         idx = int(np.argmax(gaps))
         if balanced and gaps[idx] <= opts.convergence_tol * max(1.0, abs(kernel.bound)):
             converged = True
             break
-        new_point = cand[idx]
-        existing = {canonical_point(s) for s in support}
-        if canonical_point(new_point) in existing:
+        if canonical_point(cand[idx]) in {canonical_point(cand[i]) for i in support}:
             break  # grid cannot supply a better point; stop flagged
-        support.append(new_point)
+        support.append(idx)
+        w = np.append(w, 0.0)
     report = verify_design(design, spec, k, region, tol=opts.convergence_tol)
     return DesignSearchResult(design=design, report=report, converged=converged,
                               iterations=iterations)

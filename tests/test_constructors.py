@@ -425,6 +425,26 @@ def test_two_factor_a_four_point_case():
     assert g.verify_design(r.design, spec, 1.0, g.BinaryHypercube(2)).passed
 
 
+def test_two_factor_a_four_point_small_weight_certifies():
+    # one corner carries only ~4e-5; the numeric branch must still balance
+    # all four corners to its 1e-12 tolerance
+    spec = logistic2((-0.9789176901409578, -3.344574806950482, 0.5758376748180476))
+    r = g.two_factor_design(spec, "A")
+    assert r.case_label == "A-4pt-numeric"
+    assert r.design.size == 4
+    assert g.verify_design(r.design, spec, 1.0, g.BinaryHypercube(2), tol=1e-10).passed
+
+
+def test_two_factor_never_raises_on_seeded_betas():
+    rng = np.random.default_rng(12)
+    for fam in (g.logistic, g.poisson_log, g.probit):
+        for _ in range(40):
+            spec = g.ModelSpec(fam, g.first_order_intercept(2), tuple(rng.uniform(-4.0, 2.0, 3)))
+            for crit, k in (("D", 0.0), ("A", 1.0)):
+                r = g.two_factor_design(spec, crit)
+                assert g.verify_design(r.design, spec, k, g.BinaryHypercube(2), tol=1e-9).passed
+
+
 def test_two_factor_swap_equivariance():
     s1 = logistic2((0.4, -0.7, -1.1))
     s2 = logistic2((0.4, -1.1, -0.7))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import glmdesign as g
 from glmdesign.errors import ConvergenceError
-from glmdesign.optimize import _compositions
+from glmdesign.optimize import _compositions, _scaled_rows, _State
 
 TOL8 = g.OptimizerOptions(convergence_tol=1e-8)
 
@@ -58,12 +58,12 @@ def test_axis_weights_match_reference():
 
 def test_redundant_support_point_starved():
     # straight-line regression on [0, 1]: only the endpoints matter, so the
-    # descent must push the midpoint to numerical zero without destabilising
-    # the endpoint weights
+    # solver must drive the midpoint to exactly zero weight, which leaves it
+    # out of the returned design, without destabilising the endpoint weights
     spec = g.ModelSpec(g.linear_identity, g.single_factor_intercept(), (0.0, 0.0))
     d = g.optimize_weights(spec, [(0.0,), (0.5,), (1.0,)], 0.0, TOL8)
-    assert d.weights[1] < 1e-7
-    np.testing.assert_allclose((d.weights[0], d.weights[2]), (0.5, 0.5), atol=1e-7)
+    assert d.points == ((0.0,), (1.0,))
+    np.testing.assert_allclose(d.weights, (0.5, 0.5), atol=1e-7)
 
 
 def test_exhausted_iteration_budget_raises():
@@ -83,6 +83,48 @@ def test_optimizer_options_carry_only_consumed_knobs():
 def test_optimizer_options_reject_non_finite_tolerance(tol):
     with pytest.raises(ValueError, match="finite and positive"):
         g.OptimizerOptions(convergence_tol=tol)
+
+
+def _log_phi(G, w, k):
+    return _State(G, w, k).f
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("support", ["seeded", "tied"])
+def test_hessian_matches_central_differences(k, support):
+    if support == "seeded":
+        rng = np.random.default_rng(3)
+        spec = g.ModelSpec(g.logistic, g.first_order_intercept(2), (0.2, -0.7, 0.9))
+        pts = rng.uniform(-1.0, 1.0, size=(5, 2))
+        w = rng.dirichlet(np.ones(5))
+    else:
+        # equal weights on the axes give M = I/2: every eigenvalue is tied
+        spec = g.ModelSpec(g.linear_identity, g.first_order_no_intercept(2), (0.0, 0.0))
+        pts = np.array([(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.8, -0.6), (0.3, 0.2)])
+        w = np.array([0.5, 0.5, 1e-3, 1e-3, 1e-3])
+    G = _scaled_rows(spec, pts)
+    m = len(w)
+    H = _State(G, w, k).hessian(np.arange(m))
+    h = 1e-4
+    fd = np.empty((m, m))
+    for i in range(m):
+        for j in range(m):
+            ei, ej = h * np.eye(m)[i], h * np.eye(m)[j]
+            fd[i, j] = (
+                _log_phi(G, w + ei + ej, k) - _log_phi(G, w + ei - ej, k)
+                - _log_phi(G, w - ei + ej, k) + _log_phi(G, w - ei - ej, k)
+            ) / (4 * h * h)
+    np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-5 * np.abs(H).max())
+
+
+@pytest.mark.parametrize("k", [0.5, 2.0])
+def test_newton_weights_agree_with_brute_force(k):
+    resolution = 100
+    d = g.optimize_weights(POISSON_CORNERS, SQUARE, k, g.OptimizerOptions(convergence_tol=1e-10))
+    b = g.brute_force_weights(POISSON_CORNERS, SQUARE, k, resolution)
+    got, want = dict(zip(d.points, d.weights)), dict(zip(b.points, b.weights))
+    for x in SQUARE:
+        assert abs(got.get(x, 0.0) - want.get(x, 0.0)) <= 2.0 / resolution
 
 
 @given(
@@ -144,21 +186,38 @@ def test_search_is_deterministic():
     assert r1.converged == r2.converged
 
 
-def test_search_flags_unreachable_grid_optimum():
-    # the continuous optimum sits between grid nodes; draining the neighbour
-    # node is glacial, so the search must stop honestly flagged rather than
-    # claim certified optimality
-    spec = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 1.0))
-    res = g.optimize_design(
-        spec,
-        g.GridBox((-4.0,), (4.0,), (801,)),
-        0.0,
-        g.OptimizerOptions(max_iterations=3000, convergence_tol=1e-10),
-    )
-    assert not res.converged
-    assert not res.report.passed
-    # ... yet the report still describes the returned design faithfully
-    assert res.report.worst_gap > res.report.tolerance * max(1.0, abs(res.report.bound))
+LOGISTIC_LINE = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 1.0))
+LINE_GRID = g.GridBox((-4.0,), (4.0,), (801,))
+
+# the continuous logistic D optimum for beta = (0, 1) sits at eta = +/-1.5434
+LOGISTIC_D_ETA = 1.5434
+
+
+def test_search_certifies_grid_optimum_between_nodes():
+    # the continuous support falls between nodes of the 0.01 grid; the grid
+    # optimum splits weight over neighbouring nodes and certifies on the grid
+    res = g.optimize_design(LOGISTIC_LINE, LINE_GRID, 0.0, g.OptimizerOptions(convergence_tol=1e-10))
+    assert res.converged and res.report.passed
+    x = np.asarray(res.design.points)[:, 0]
+    assert (np.abs(np.abs(x) - LOGISTIC_D_ETA) <= 0.01).all()
+    assert (x < 0).any() and (x > 0).any()
+
+
+def test_search_flags_exhausted_budget_honestly():
+    # with a one-step budget the search cannot balance its weights: it must
+    # say so, and its report must still describe the design it returns
+    res = g.optimize_design(LOGISTIC_LINE, LINE_GRID, 0.0, g.OptimizerOptions(max_iterations=1))
+    assert not res.converged and not res.report.passed
+    assert res.iterations == 1
+    again = g.verify_design(res.design, LOGISTIC_LINE, 0.0, LINE_GRID, tol=res.report.tolerance)
+    assert again == res.report
+
+
+@pytest.mark.parametrize("n, k", [(18, 1.0), (26, 0.0)])
+def test_search_certifies_logistic_square_grids(n, k):
+    spec = g.ModelSpec(g.logistic, g.first_order_intercept(2), (0.0, 1.0, 1.0))
+    res = g.optimize_design(spec, g.GridBox((-3.0, -3.0), (3.0, 3.0), (n, n)), k)
+    assert res.converged and res.report.passed
 
 
 def test_converged_implies_certified():
