@@ -10,7 +10,8 @@ class SingularMatrixError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative weight search failed to reach its stopping tolerance."""
+    """A weight solve missed its stopping tolerance (iteration budget spent or
+    line search failed), or a four-point design missed its support condition."""
 
 
 class CriterionOverflowError(ValueError):

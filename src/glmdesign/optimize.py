@@ -189,9 +189,8 @@ def _solve_weights(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptio
                 f"Newton weight step is not a descent direction at relative gap {gap!r}"
             )
         wS = w[idx]
-        shrink = d < 0.0
-        ratios = np.full(idx.shape[0], np.inf)
-        ratios[shrink] = wS[shrink] / -d[shrink]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = np.where(d < 0.0, wS / -d, np.inf)
         block = int(np.argmin(ratios))
         t = min(1.0, float(ratios[block]))
         reaches = ratios[block] <= 1.0
