@@ -303,17 +303,25 @@ def region_to_dict(region: Region) -> dict:
 # Information matrices and criteria
 
 
+def _scaled_rows(spec: ModelSpec, pts: np.ndarray) -> np.ndarray:
+    """Rows sqrt(u_i) f(x_i); the information matrix is G^T diag(w) G."""
+    F = regression_matrix(spec, pts)
+    u = intensity_many(spec, pts)
+    return F * np.sqrt(u)[:, None]
+
+
 def weighted_information(spec: ModelSpec, points, weights) -> np.ndarray:
     """Sum of w_i u_i f(x_i) f(x_i)^T without any normalization of w.
 
     Positively homogeneous of degree one in the weights; ``information_matrix``
-    is this accumulator applied to a Design's probability weights.
+    is this accumulator applied to a Design's probability weights.  Weights
+    must be finite, nonnegative and one per point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.asarray(weights, dtype=float)
-    F = regression_matrix(spec, pts)
-    u = intensity_many(spec, pts)
-    G = F * np.sqrt(u * w)[:, None]
+    if w.shape != (pts.shape[0],) or not np.isfinite(w).all() or (w < 0.0).any():
+        raise ValueError("weights must be finite, nonnegative and one per point")
+    G = _scaled_rows(spec, pts) * np.sqrt(w)[:, None]
     M = G.T @ G
     return (M + M.T) / 2.0
 
@@ -352,27 +360,45 @@ def _eigvals_checked(M: np.ndarray) -> np.ndarray:
     return _gate(np.linalg.eigvalsh(_check_symmetric(M)))
 
 
-def _eigen_basis(
-    M: np.ndarray, k: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Eigen core of the order-k equivalence theorem for a symmetric M.
+class _EigenState:
+    """Eigen core of the order-k equivalence theorem for M = G^T diag(w) G.
 
-    Returns the ascending eigenvalues lam, their orthonormal eigenvectors Q,
-    the basis B = Q lam^-(k+1)/2 (so that f^T M^-(k+1) f = ||B^T f||^2) and
-    the bound trace M^-k.  Raises
-    SingularMatrixError past the SINGULARITY_RATIO gate and
-    CriterionOverflowError when the bound or B would leave the double range.
+    M is never formed: the thin SVD of diag(w)^1/2 G gives its ascending
+    eigenvalues lam = sigma^2 and eigenvectors Q to the accuracy of G, not of
+    M with its squared condition number.  Holds B = Q lam^-(k+1)/2, so that
+    f^T M^-(k+1) f = ||B^T f||^2, and the bound trace M^-k.  Raises
+    SingularMatrixError for fewer rows than parameters or past the
+    SINGULARITY_RATIO gate, and CriterionOverflowError when the bound or B
+    would leave the double range.
     """
-    lam, Q = np.linalg.eigh(M)
-    _gate(lam)
-    # lam^-k and lam^-(k+1)/2 peak at lam[0]; p such terms must stay finite
-    if max(k, (k + 1.0) / 2.0) * -math.log(lam[0]) + math.log(lam.shape[0]) >= _LOG_DOUBLE_MAX:
-        raise CriterionOverflowError(
-            f"trace M^-k or M^-(k+1) overflows at order k={k!r} "
-            f"(smallest eigenvalue {float(lam[0])!r})"
-        )
-    B = Q * lam ** (-(k + 1.0) / 2.0)
-    return lam, Q, B, float((lam ** -k).sum())
+
+    def __init__(self, G: np.ndarray, w: np.ndarray, k: float):
+        n, p = G.shape
+        if n < p:
+            raise SingularMatrixError(f"information matrix is singular ({n} rows, {p} parameters)")
+        _, sigma, Vt = np.linalg.svd(G * np.sqrt(w)[:, None], full_matrices=False)
+        lam = _gate(sigma[::-1] ** 2)
+        # lam^-k and lam^-(k+1)/2 peak at lam[0]; p such terms must stay finite
+        if max(k, (k + 1.0) / 2.0) * -math.log(lam[0]) + math.log(p) >= _LOG_DOUBLE_MAX:
+            raise CriterionOverflowError(
+                f"trace M^-k or M^-(k+1) overflows at order k={k!r} "
+                f"(smallest eigenvalue {float(lam[0])!r})"
+            )
+        self.lam, self.k = lam, k
+        self.Q = np.ascontiguousarray(Vt[::-1].T)
+        self.B = self.Q * lam ** (-(k + 1.0) / 2.0)
+        self.bound = float((lam ** -k).sum())
+
+    def scores(self, F: np.ndarray, u=1.0) -> np.ndarray:
+        """Sensitivities u ||B^T f||^2 of the rows f of F."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            FB = F @ self.B
+            sens = u * np.einsum("ij,ij->i", FB, FB)
+        if not np.isfinite(sens).all():
+            raise CriterionOverflowError(
+                f"sensitivity overflows at order k={self.k!r} on some candidate point"
+            )
+        return sens
 
 
 def min_eigenvalue(M) -> float:

@@ -17,13 +17,12 @@ import numpy as np
 from .designs import (
     Design,
     Region,
-    _eigen_basis,
-    information_matrix,
+    _EigenState,
+    _scaled_rows,
     parse_criterion_order,
     region_label,
     region_points,
 )
-from .errors import CriterionOverflowError
 from .models import ModelSpec, intensity_many, regression_matrix
 
 DEFAULT_TOLERANCE = 1e-7
@@ -63,31 +62,18 @@ class VerificationReport:
         }
 
 
-class _SensitivityKernel:
-    """Factored sensitivity evaluator for one (design, spec, k) triple."""
+class _SensitivityKernel(_EigenState):
+    """Sensitivity evaluator for one (design, spec, k) triple."""
 
     def __init__(self, design: Design, spec: ModelSpec, k: float):
         k = parse_criterion_order(k)
         if math.isinf(k):
-            raise ValueError(
-                "equivalence certification is defined for finite order k only"
-            )
+            raise ValueError("equivalence certification is defined for finite order k only")
+        super().__init__(_scaled_rows(spec, design.point_array), design.weight_array, k)
         self.spec = spec
-        self.k = k
-        # columns scaled so that sensitivity is u * ||B^T f||^2
-        _, _, self._B, self.bound = _eigen_basis(information_matrix(design, spec), k)
 
     def many(self, pts: np.ndarray) -> np.ndarray:
-        F = regression_matrix(self.spec, pts)
-        u = intensity_many(self.spec, pts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            FB = F @ self._B
-            sens = u * np.einsum("ij,ij->i", FB, FB)
-        if not np.isfinite(sens).all():
-            raise CriterionOverflowError(
-                f"sensitivity overflows at order k={self.k!r} on some candidate point"
-            )
-        return sens
+        return self.scores(regression_matrix(self.spec, pts), intensity_many(self.spec, pts))
 
 
 def sensitivity_at(design: Design, spec: ModelSpec, k: float, x) -> float:

@@ -21,16 +21,17 @@ import numpy as np
 from .designs import (
     Design,
     Region,
-    _eigen_basis,
+    _EigenState,
     _nonsingular,
     _phi_from_eigenvalues,
+    _scaled_rows,
     canonical_point,
     parse_criterion_order,
     region_points,
 )
-from .equivalence import VerificationReport, _SensitivityKernel, verify_design
+from .equivalence import VerificationReport, verify_design
 from .errors import ConvergenceError, CriterionOverflowError, SingularMatrixError
-from .models import ModelSpec, intensity_many, regression_matrix
+from .models import ModelSpec
 
 # Armijo constant: a step must realize this share of its predicted decrease.
 ARMIJO = 1e-4
@@ -79,26 +80,15 @@ def _as_support(spec: ModelSpec, points) -> np.ndarray:
     return pts
 
 
-def _scaled_rows(spec: ModelSpec, pts: np.ndarray) -> np.ndarray:
-    """Rows sqrt(u_i) f(x_i); the information matrix is G^T diag(w) G."""
-    F = regression_matrix(spec, pts)
-    u = intensity_many(spec, pts)
-    return F * np.sqrt(u)[:, None]
-
-
-class _State:
-    """Eigen state of M(w): per-point sensitivities, bound and f = log Phi_k.
-
-    The gradient of f in the weights is -sens / bound.
+class _State(_EigenState):
+    """Eigen state of M(w) with the support sensitivities sens and
+    f = log Phi_k; the gradient of f in the weights is -sens / bound.
     """
 
     def __init__(self, G: np.ndarray, w: np.ndarray, k: float):
-        M = (G * w[:, None]).T @ G
-        self.lam, Q, B, self.bound = _eigen_basis((M + M.T) / 2.0, k)
-        GB = G @ B
-        self.sens = np.einsum("ij,ij->i", GB, GB)
+        super().__init__(G, w, k)
+        self._G, self.sens = G, self.scores(G)
         self.f = float(np.log(_phi_from_eigenvalues(self.lam, k)))
-        self._G, self._Q, self.k = G, Q, k
 
     def hessian(self, idx: np.ndarray) -> np.ndarray:
         """Hessian of f in the weights of the points idx (m x m, m^2 memory).
@@ -118,7 +108,7 @@ class _State:
             ratio = np.where(t > 0.0, np.expm1(-2.0 * (k + 1.0) * t) / np.expm1(-2.0 * t), k + 1.0)
         d = np.exp(-k * np.minimum(L[:, None], L[None, :]) - L[:, None] - L[None, :]) * ratio
         # a_i = Q^T g_i / sqrt(lam_min): O(1) entries whatever the scale of M
-        A = (self._G[idx] @ self._Q) / math.sqrt(self.lam[0])
+        A = (self._G[idx] @ self.Q) / math.sqrt(self.lam[0])
         P = (A[:, :, None] * A[:, None, :]).reshape(A.shape[0], -1)
         g = self.sens[idx] / self.bound
         H = (P * d.ravel()) @ P.T / np.exp(-k * L).sum() - k * np.outer(g, g)
@@ -151,11 +141,11 @@ def _newton_direction(state: _State, idx: np.ndarray) -> np.ndarray:
 
 def _solve_weights(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptions):
     """Minimize log Phi_k(M(w)) over the simplex by Newton steps on the
-    active set S = {w > 0}; returns (w, relative gap, converged, iterations).
+    active set S = {w > 0}; returns (w, its _State, relative gap, converged).
 
-    Each iteration costs one p x p eigen-decomposition per line-search trial
-    and an m x m Hessian over the m active points (m^2 memory, m p^2 for
-    its factors).  Once the points of S balance within the tolerance, the
+    Each iteration costs one thin SVD of the n x p rows per line-search
+    trial and an m x m Hessian over the m active points (m^2 memory, m p^2
+    for its factors).  Once the points of S balance within the tolerance, the
     inactive point most above the bound joins S.  The Armijo test allows a
     rounding slack of 1e-12 max(1, |f|): near the optimum the predicted
     decrease, about gap^2, falls below the rounding of f.
@@ -166,7 +156,7 @@ def _solve_weights(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptio
     for it in range(opts.max_iterations + 1):
         gap = _support_gap(state.sens, state.bound, w)
         if gap <= tol:
-            return w, gap, True, it
+            return w, state, gap, True
         if it == opts.max_iterations:
             break
         idx = np.flatnonzero(w > 0.0)
@@ -214,7 +204,7 @@ def _solve_weights(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptio
                 f"Newton line search failed at relative gap {gap!r} after {it} iterations"
             )
         w, state = trial, new
-    return w, gap, False, opts.max_iterations
+    return w, state, gap, False
 
 
 def optimize_weights(
@@ -233,7 +223,7 @@ def optimize_weights(
     pts = _as_support(spec, points)
     G = _scaled_rows(spec, pts)
     w0 = np.full(pts.shape[0], 1.0 / pts.shape[0])
-    w, gap, converged, _ = _solve_weights(G, w0, k, opts)
+    w, _, gap, converged = _solve_weights(G, w0, k, opts)
     if not converged:
         raise ConvergenceError(
             f"Newton weight solve stopped at relative gap {gap!r} after "
@@ -281,26 +271,22 @@ def optimize_design(
     support = sorted(chosen)
     w = np.full(p, 1.0 / p)
 
-    design = None
-    converged = False
-    iterations = 0
-    for outer in range(1, opts.max_iterations + 1):
-        iterations = outer
-        w, _, balanced, _ = _solve_weights(G_all[support], w, k, opts)
+    for iterations in range(1, opts.max_iterations + 1):
+        w, state, _, balanced = _solve_weights(G_all[support], w, k, opts)
         keep = w > 0.0
         support = [i for i, kp in zip(support, keep) if kp]
         w = w[keep]
-        design = Design.from_arrays(cand[support], w)
-        kernel = _SensitivityKernel(design, spec, k)
-        gaps = kernel.many(cand) - kernel.bound
+        gaps = state.scores(G_all) - state.bound
         idx = int(np.argmax(gaps))
-        if balanced and gaps[idx] <= opts.convergence_tol * max(1.0, abs(kernel.bound)):
-            converged = True
+        converged = bool(balanced and gaps[idx] <= opts.convergence_tol * max(1.0, abs(state.bound)))
+        # stop flagged when the budget is spent or the grid cannot supply a better point
+        if converged or iterations == opts.max_iterations or canonical_point(cand[idx]) in {
+            canonical_point(cand[i]) for i in support
+        }:
             break
-        if canonical_point(cand[idx]) in {canonical_point(cand[i]) for i in support}:
-            break  # grid cannot supply a better point; stop flagged
         support.append(idx)
         w = np.append(w, 0.0)
+    design = Design.from_arrays(cand[support], w)
     report = verify_design(design, spec, k, region, tol=opts.convergence_tol)
     return DesignSearchResult(design=design, report=report, converged=converged,
                               iterations=iterations)

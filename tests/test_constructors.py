@@ -179,27 +179,31 @@ def test_fourpoint_five_points_four_parameters():
 def test_fourpoint_random_supports_meet_support_condition():
     # d(x_i) = p on every support point, for p = 2, 3, 4 and three families;
     # at most one weight below 1/(2p).  With one factor, three points share
-    # the optimum only under a steep slope.
-    rng = np.random.default_rng(5)
+    # the optimum only under a steep slope.  The second pass redraws with
+    # slope 6 at every p, which spreads the intensities over orders of
+    # magnitude on well-conditioned supports.
     kinds = {2: g.single_factor_intercept(), 3: g.first_order_intercept(2),
              4: g.first_order_intercept(3)}
-    for p, kind in kinds.items():
-        slope = 6.0 if p == 2 else 1.5
-        solved = 0
-        for family in (g.logistic, g.poisson_log, g.probit):
-            for _ in range(40):
-                beta = (rng.uniform(-1.0, 1.0), *rng.uniform(-slope, slope, p - 1))
-                spec = g.ModelSpec(family, kind, beta)
-                pts = rng.uniform(-1.0, 1.0, (p + 1, p - 1))
-                try:
-                    w = g.fourpoint_d_weights(spec, pts)
-                except ValueError:
-                    continue  # the drop rule holds
-                solved += 1
-                assert abs(w.sum() - 1.0) <= 1e-15 and (w < 0.5 / p).sum() <= 1
-                rep = g.verify_design(g.Design.from_arrays(pts, w), spec, 0.0, g.FiniteSet(pts))
-                assert max(rep.support_residuals) <= 1e-11 * p, (p, family.name, rep)
-        assert solved >= 8, p
+    for steep in (False, True):
+        rng = np.random.default_rng(5)
+        for p, kind in kinds.items():
+            slope = 6.0 if steep or p == 2 else 1.5
+            solved = 0
+            for family in (g.logistic, g.poisson_log, g.probit):
+                for _ in range(40):
+                    beta = (rng.uniform(-1.0, 1.0), *rng.uniform(-slope, slope, p - 1))
+                    spec = g.ModelSpec(family, kind, beta)
+                    pts = rng.uniform(-1.0, 1.0, (p + 1, p - 1))
+                    try:
+                        w = g.fourpoint_d_weights(spec, pts)
+                    except ValueError:
+                        continue  # the drop rule holds
+                    solved += 1
+                    assert abs(w.sum() - 1.0) <= 1e-15 and (w < 0.5 / p).sum() <= 1
+                    design = g.Design.from_arrays(pts, w)
+                    rep = g.verify_design(design, spec, 0.0, g.FiniteSet(pts))
+                    assert max(rep.support_residuals) <= 1e-11 * p, (p, slope, family.name, rep)
+            assert solved >= 8, (p, slope)
 
 
 def test_fourpoint_agrees_with_brute_force():

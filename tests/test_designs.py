@@ -202,6 +202,21 @@ def test_weighted_information_is_homogeneous():
     np.testing.assert_allclose(M3, 2.0 * M1, rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "weights", [[0.5, -0.5], [0.5, math.inf], [0.5, math.nan], [1.0], [0.5, 0.25, 0.25]]
+)
+def test_weighted_information_rejects_bad_weights(weights):
+    # a NaN matrix or a broadcasting error would otherwise come out
+    with pytest.raises(ValueError, match="one per point"):
+        g.weighted_information(LOGISTIC_01, [[0.0], [1.0]], weights)
+    # zero weights are allowed: the point simply drops out
+    np.testing.assert_array_equal(
+        g.weighted_information(LOGISTIC_01, [[0.0], [1.0]], [1.0, 0.0]),
+        g.weighted_information(LOGISTIC_01, [[0.0]], [1.0]),
+    )
+
+
 # ------------------------------------------------------------- criteria
 
 

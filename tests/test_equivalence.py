@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
@@ -156,8 +156,8 @@ def test_scan_rows_and_csv_format(tmp_path):
     lines = text.strip().split("\n")
     assert lines[0] == "x1,sensitivity,bound"
     # 17 significant digits, shortest-form trailing output
-    assert lines[1] == "0,1.9999999999999991,2"
-    assert lines[3] == "0.5,0.99999999999999933,2"
+    assert lines[1] == "0,2,2"
+    assert lines[3] == "0.5,0.99999999999999956,2"
     out = tmp_path / "scan.csv"
     with open(out, "w") as fh:
         g.write_scan_csv(rows, fh)
@@ -196,7 +196,15 @@ def _random_case(draw):
     return fam, beta, tuple(pts), tuple(r / total for r in raw)
 
 
+# a near-singular support, eigenvalue ratio 1.5e-9 just inside the gate:
+# decomposing M itself instead of its square root loses about 2e-8 relative
+# accuracy here, past the properties' rtol of 1e-9
+NEAR_SINGULAR = ("logistic", (0.0, 0.0, 0.0), ((0.0, 0.0), (0.0, 1.0), (1e-4, 0.0)),
+                 (1 / 3, 1 / 3, 1 / 3))
+
+
 @given(case=_random_case())
+@example(case=NEAR_SINGULAR)
 @settings(max_examples=60, deadline=None)
 def test_weighted_sensitivity_trace_identity(case):
     # for k=0 the weighted average of sensitivities over the support always
@@ -213,6 +221,9 @@ def test_weighted_sensitivity_trace_identity(case):
 
 
 @given(case=_random_case(), k=st.sampled_from([0.0, 1.0, 2.0]))
+@example(case=NEAR_SINGULAR, k=0.0)
+@example(case=NEAR_SINGULAR, k=1.0)
+@example(case=NEAR_SINGULAR, k=2.0)
 @settings(max_examples=40, deadline=None)
 def test_sensitivity_invariant_under_factor_permutation(case, k):
     fam_name, beta, pts, w = case
