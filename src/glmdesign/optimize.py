@@ -122,10 +122,9 @@ def _support_gap(sens: np.ndarray, bound: float, w: np.ndarray) -> float:
     sit on it; points at zero weight may fall below, matching the
     simplex-boundary optimality condition.
     """
-    scale = max(1.0, abs(bound))
     over = float(sens.max()) - bound
     under = bound - float(sens[w > 0.0].min())
-    return max(over, under) / scale
+    return max(over, under) / bound
 
 
 def _newton_direction(state: _State, idx: np.ndarray) -> np.ndarray:
@@ -160,9 +159,8 @@ def _solve_weights(G: np.ndarray, w0: np.ndarray, k: float, opts: OptimizerOptio
         if it == opts.max_iterations:
             break
         idx = np.flatnonzero(w > 0.0)
-        scale = max(1.0, abs(state.bound))
         d = None
-        if float(np.abs(state.sens[idx] - state.bound).max()) <= tol * scale:
+        if float(np.abs(state.sens[idx] - state.bound).max()) <= tol * state.bound:
             # S is solved, so some inactive point sits above the bound
             j = int(np.argmax(np.where(w > 0.0, -np.inf, state.sens)))
             grown = np.sort(np.append(idx, j))
@@ -278,7 +276,7 @@ def optimize_design(
         w = w[keep]
         gaps = state.scores(G_all) - state.bound
         idx = int(np.argmax(gaps))
-        converged = bool(balanced and gaps[idx] <= opts.convergence_tol * max(1.0, abs(state.bound)))
+        converged = bool(balanced and gaps[idx] <= opts.convergence_tol * state.bound)
         # stop flagged when the budget is spent or the grid cannot supply a better point
         if converged or iterations == opts.max_iterations or canonical_point(cand[idx]) in {
             canonical_point(cand[i]) for i in support

@@ -49,8 +49,7 @@ def criterion(capsys, num, label):
 def _certified(design, spec, k, region):
     """verify at the contract tolerance and check the support residuals."""
     rep = g.verify_design(design, spec, k, region, tol=TOL)
-    scale = max(1.0, abs(rep.bound))
-    return rep.passed and max(rep.support_residuals) <= TOL * scale
+    return rep.passed and max(rep.support_residuals) <= TOL * rep.bound
 
 
 # --------------------------------------------------------------------------

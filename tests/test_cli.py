@@ -85,7 +85,7 @@ def test_construct_verify_round_trip(tmp_path):
     assert code == EXIT_OK
     report = json.loads(out2)
     assert report["pass"] is True
-    assert report["worst_gap"] <= 1e-7 * max(1.0, abs(report["bound"]))
+    assert report["worst_gap"] <= 1e-7 * report["bound"]
 
 
 def test_fourpoint_five_point_construct_verifies(tmp_path):

@@ -9,7 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
-from glmdesign.errors import CriterionOverflowError, SingularMatrixError
+from glmdesign import designs
+from glmdesign.designs import _EigenState
+from glmdesign.equivalence import _SensitivityKernel
+from glmdesign.errors import CriterionOverflowError, DomainError, SingularMatrixError
 
 SPEC1 = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 0.0))
 
@@ -241,3 +244,111 @@ def test_sensitivity_invariant_under_factor_permutation(case, k):
     np.testing.assert_allclose(
         g.equivalence_bound(d, spec, k), g.equivalence_bound(ds, swapped, k), rtol=1e-9
     )
+
+
+# (0.8, 0.1, 0.1) on three corners of the square fails the order-1 theorem by
+# 5.32 times the bound whatever the intercept, which only scales u; at
+# b0 = 30 the bound is 3.4e-12, so a gap rule floored at 1 would pass it
+def test_unbalanced_design_fails_whatever_the_intercept():
+    spec = g.ModelSpec(g.poisson_log, g.first_order_intercept(2), (30.0, -0.5, -0.5))
+    d = g.Design(((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)), (0.8, 0.1, 0.1))
+    rep = g.verify_design(d, spec, 1.0, g.BinaryHypercube(2))
+    assert rep.bound < 1e-11
+    assert not rep.passed
+    np.testing.assert_allclose(rep.worst_gap / rep.bound, 5.318709285445885, rtol=1e-9)
+
+
+# ------------------------------------------------------------- row blocks
+
+BLOCK = 4  # small enough that a few dozen candidates span several blocks
+SPEC4 = g.ModelSpec(g.logistic, g.first_order_intercept(3), (0.3, -0.8, 0.5, 1.1))
+DESIGN4 = g.Design(
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)),
+    (0.2, 0.2, 0.2, 0.2, 0.2),
+)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(designs, "ROW_BLOCK", BLOCK)
+
+
+def _cloud(n):
+    return g.FiniteSet(tuple(map(tuple, np.random.default_rng(n).uniform(-2, 2, (n, 3)))))
+
+
+def _full_scores(design, spec, k, pts):
+    """u ||B^T f||^2 in one pass over all rows, as the kernel scores one block."""
+    B = _SensitivityKernel(design, spec, k).B
+    FB = g.regression_matrix(spec, pts) @ B
+    return g.intensity_many(spec, pts) * np.einsum("ij,ij->i", FB, FB)
+
+
+@pytest.mark.parametrize("n", [BLOCK, BLOCK + 1, 2 * BLOCK + 1, 7 * BLOCK + 3])
+@pytest.mark.parametrize("k", [0.0, 1.0])
+def test_block_scores_match_one_pass(small_blocks, n, k):
+    region = _cloud(n)
+    cand = g.region_points(region)
+    ref = _full_scores(DESIGN4, SPEC4, k, cand)
+    rows = g.sensitivity_scan(DESIGN4, SPEC4, k, region)
+    np.testing.assert_array_equal([s for _, s, _ in rows], ref)
+    rep = g.verify_design(DESIGN4, SPEC4, k, region)
+    i = int(np.argmax(ref - rep.bound))
+    assert rep.worst_gap == ref[i] - rep.bound
+    assert rep.worst_point == tuple(cand[i])
+    state = _EigenState(g.regression_matrix(SPEC4, cand), np.full(n, 1.0 / n), k)
+    FB = g.regression_matrix(SPEC4, cand) @ state.B
+    np.testing.assert_array_equal(
+        state.scores(g.regression_matrix(SPEC4, cand)), np.einsum("ij,ij->i", FB, FB)
+    )
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0])
+def test_block_search_matches_one_pass(monkeypatch, k):
+    region = g.GridBox((-2.0, -2.0), (2.0, 2.0), (9, 9))
+    spec = g.ModelSpec(g.logistic, g.first_order_intercept(2), (0.0, 1.0, 1.0))
+    whole = g.optimize_design(spec, region, k)
+    monkeypatch.setattr(designs, "ROW_BLOCK", BLOCK)
+    assert g.optimize_design(spec, region, k) == whole
+
+
+def _error_text(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return info.type, str(info.value)
+
+
+GAMMA = g.ModelSpec(g.gamma_inverse, g.single_factor_intercept(), (2.0, -1.0))
+GAMMA_DESIGN = g.Design(((0.0,), (1.0,)), (0.5, 0.5))
+# e^705 is finite, u ||B^T f||^2 at x = 705 is not
+POISSON1 = g.ModelSpec(g.poisson_log, g.single_factor_intercept(), (0.0, 1.0))
+# the same intensity, but only below eta = 706
+CAPPED = g.ModelSpec(
+    g.custom_family("capped_exp", math.exp, domain=lambda eta: eta < 706.0),
+    g.single_factor_intercept(),
+    (0.0, 1.0),
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "spec, design, pts, error",
+    [
+        # eta <= 0 at x >= 2, two points of the last block
+        (GAMMA, GAMMA_DESIGN, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 2.5, 3.0), DomainError),
+        (POISSON1, half_design(), (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 705.0), CriterionOverflowError),
+        # an overflowing block before an out-of-domain one: the domain error wins
+        (CAPPED, half_design(), (0.0, 0.1, 0.2, 705.0, 705.1, 705.2, 705.3, 705.4, 707.0), DomainError),
+    ],
+    ids=["domain", "overflow", "domain-after-overflow"],
+)
+def test_block_errors_match_one_pass(monkeypatch, spec, design, pts, error):
+    region = g.FiniteSet(tuple((x,) for x in pts))
+    calls = [
+        lambda: g.verify_design(design, spec, 1.0, region),
+        lambda: g.sensitivity_scan(design, spec, 1.0, region),
+    ]
+    whole = [_error_text(call) for call in calls]
+    monkeypatch.setattr(designs, "ROW_BLOCK", BLOCK)
+    assert [_error_text(call) for call in calls] == whole
+    assert all(kind is error for kind, _ in whole)

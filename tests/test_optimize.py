@@ -277,3 +277,63 @@ def test_brute_force_guard_rails():
         g.brute_force_weights(lin, six, 0.0, 10)
     with pytest.raises(ValueError):
         g.brute_force_weights(POISSON_CORNERS, SQUARE + [(0.5, 0.5)], 0.0, 400)
+
+
+# --------------------------------------------------------- scale invariance
+# A common factor c in the intensities scales every sensitivity and the bound
+# trace M^-k by c^-k alike, so designs and verdicts must not depend on it.
+
+
+def _scale_free(result):
+    rep = result.report
+    return result.design.points, rep.passed, rep.worst_gap / rep.bound
+
+
+def _poisson_square(b0):
+    return g.ModelSpec(g.poisson_log, g.first_order_intercept(2), (b0, -0.5, -0.5))
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("b0", [20.0, 30.0, 300.0])
+def test_search_invariant_under_intercept_shift(request, b0, k):
+    if (b0, k) == (300.0, 2.0):
+        request.applymarker(pytest.mark.xfail(
+            strict=True, reason="u ||B^T f||^2 underflows to 0: B ~ e^-450 here (CHANGES.md FOUND)"))
+    spec0, spec = _poisson_square(0.0), _poisson_square(b0)
+    base = g.optimize_design(spec0, g.BinaryHypercube(2), k, TOL8)
+    res = g.optimize_design(spec, g.BinaryHypercube(2), k, TOL8)
+    assert base.converged and base.report.passed and res.converged
+    assert _scale_free(res)[:2] == _scale_free(base)[:2]
+    assert abs(_scale_free(res)[2] - _scale_free(base)[2]) <= 1e-9
+    np.testing.assert_allclose(res.design.weights, base.design.weights, rtol=1e-9)
+    for d in (base.design, g.Design(SQUARE[:3], (0.8, 0.1, 0.1))):
+        r0 = g.verify_design(d, spec0, k, g.BinaryHypercube(2))
+        r = g.verify_design(d, spec, k, g.BinaryHypercube(2))
+        assert r.passed == r0.passed
+        assert abs(r.worst_gap / r.bound - r0.worst_gap / r0.bound) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0.0, 0.5, 1.0, 2.0])
+def test_search_invariant_under_regressor_scaling(k):
+    # without intercept, x -> c x with beta -> beta / c keeps u and scales
+    # f by c: M by c^2, sensitivities and bound by c^-2k
+    def search(c):
+        spec = g.ModelSpec(g.poisson_log, g.first_order_no_intercept(2), (-1.0 / c, -1.0 / c))
+        region = g.GridBox((0.1 * c, 0.1 * c), (c, c), (10, 10))
+        return spec, region, g.optimize_design(spec, region, k, TOL8)
+
+    spec1, region1, base = search(1.0)
+    assert base.converged and base.report.passed
+    for c in (1e-4, 1e4):
+        spec, region, res = search(c)
+        assert res.converged and res.report.passed
+        np.testing.assert_allclose(np.asarray(res.design.points) / c, base.design.points, rtol=1e-12)
+        np.testing.assert_allclose(res.design.weights, base.design.weights, rtol=1e-9)
+        assert abs(_scale_free(res)[2] - _scale_free(base)[2]) <= 1e-9
+        lopsided = g.Design(((0.1, 1.0), (1.0, 0.1)), (0.9, 0.1))
+        r0 = g.verify_design(lopsided, spec1, k, region1)
+        r = g.verify_design(
+            g.Design.from_arrays(lopsided.point_array * c, lopsided.weights), spec, k, region
+        )
+        assert not r0.passed and not r.passed
+        np.testing.assert_allclose(r.worst_gap / r.bound, r0.worst_gap / r0.bound, rtol=1e-9)
