@@ -35,9 +35,14 @@ _LOG_DOUBLE_MAX = math.log(np.finfo(float).max)
 # Relative asymmetry above this rejects a matrix as non-symmetric.
 SYMMETRY_RTOL = 1e-10
 
-# Candidate rows are scored in blocks of at most this many rows, so that each
-# block's temporaries stay in cache instead of streaming through memory.
-ROW_BLOCK = 32768
+# Candidate rows are scored in blocks of at most this many rows, written into
+# one output array.  A block's temporaries (about 0.4 MB at p = 2) stay in a
+# core's L2 cache, and a scan holds little beyond its candidates and output,
+# so glibc keeps the heap pages it used for the next scan instead of trimming
+# them and faulting them in again.  At 32768 rows a 10^5-point verify sat at
+# the trim threshold: some processes kept the pages and some did not, and
+# their speeds differed by about 20%.
+ROW_BLOCK = 8192
 
 
 def canonical_point(x) -> tuple[float, ...]:
@@ -229,12 +234,13 @@ class GridBox(_RegionFields):
         return len(self.lower)
 
     def candidate_points(self) -> np.ndarray:
-        axes = [
-            np.linspace(lo, hi, n)
-            for lo, hi, n in zip(self.lower, self.upper, self.resolution)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        # filled in place: meshgrid would first copy every axis to full length
+        nu = self.nu
+        pts = np.empty((math.prod(self.resolution), nu))
+        grid = pts.reshape(*self.resolution, nu)
+        for i, (lo, hi, n) in enumerate(zip(self.lower, self.upper, self.resolution)):
+            grid[..., i] = np.linspace(lo, hi, n).reshape((n,) + (1,) * (nu - 1 - i))
+        return pts
 
 
 @dataclass(frozen=True)
@@ -408,7 +414,10 @@ class _EigenState:
         """Sensitivities u ||B^T f||^2 of the rows f of F, ROW_BLOCK rows at a time."""
         if F.shape[0] > ROW_BLOCK:
             u = np.broadcast_to(u, F.shape[:1])
-            return np.concatenate([self.scores(F[b], u[b]) for b in _row_blocks(F.shape[0])])
+            sens = np.empty(F.shape[0])
+            for b in _row_blocks(F.shape[0]):
+                sens[b] = self.scores(F[b], u[b])
+            return sens
         with np.errstate(over="ignore", invalid="ignore"):
             FB = F @ self.B
             sens = u * np.einsum("ij,ij->i", FB, FB)

@@ -78,8 +78,11 @@ class _SensitivityKernel(_EigenState):
 
     def many(self, pts: np.ndarray) -> np.ndarray:
         if pts.shape[0] > designs.ROW_BLOCK:
+            sens = np.empty(pts.shape[0])
             try:
-                return np.concatenate([self.many(pts[b]) for b in _row_blocks(pts.shape[0])])
+                for b in _row_blocks(pts.shape[0]):
+                    sens[b] = self.many(pts[b])
+                return sens
             except Exception:
                 pass  # one pass over all rows raises the error, and names the point, it always did
         return self.scores(regression_matrix(self.spec, pts), intensity_many(self.spec, pts))

@@ -84,6 +84,19 @@ def test_grid_box_two_dims_lexicographic():
     np.testing.assert_allclose(pts, want, atol=1e-15)
 
 
+@pytest.mark.parametrize("lower, upper, resolution", [
+    ((-1.0,), (2.0,), (7,)),
+    ((0.1, -3.0), (2.0, 3.0), (13, 5)),
+    ((0.0, 0.0, -1.0), (1.0, 2.0, 1.0), (4, 3, 5)),
+])
+def test_grid_box_points_match_meshgrid(lower, upper, resolution):
+    pts = g.region_points(g.GridBox(lower, upper, resolution))
+    axes = [np.linspace(lo, hi, n) for lo, hi, n in zip(lower, upper, resolution)]
+    want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    np.testing.assert_array_equal(pts, want)
+    assert pts.flags.c_contiguous
+
+
 def test_binary_hypercube_enumeration():
     pts = g.region_points(g.BinaryHypercube(3))
     assert pts.shape == (8, 3)
