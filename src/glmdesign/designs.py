@@ -458,11 +458,18 @@ def phi_k_of_matrix(M, k: float) -> float:
     return float(_phi_from_eigenvalues(_eigvals_checked(M), k))
 
 
+def _design_eigenvalues(design: Design, spec: ModelSpec) -> np.ndarray:
+    """Gated ascending eigenvalues of the information matrix, taken from the
+    SVD of its square root as the certificate does, to the accuracy of G."""
+    return _EigenState(_scaled_rows(spec, design.point_array), design.weight_array, 0.0).lam
+
+
 def phi_k_value(design: Design, spec: ModelSpec, k: float) -> float:
-    return phi_k_of_matrix(information_matrix(design, spec), k)
+    """The order-k criterion of a design's information matrix; see phi_k_of_matrix."""
+    k = parse_criterion_order(k)
+    return float(_phi_from_eigenvalues(_design_eigenvalues(design, spec), k))
 
 
 def a_value(design: Design, spec: ModelSpec) -> float:
     """The classical A value trace(M^-1); equals p times the order-1 criterion."""
-    lam = _eigvals_checked(information_matrix(design, spec))
-    return float((1.0 / lam).sum())
+    return float((1.0 / _design_eigenvalues(design, spec)).sum())

@@ -46,6 +46,14 @@ CURVATURE_RCOND = 1e-12
 
 _BRUTE_FORCE_CAP = 30_000_000
 
+# brute_force_weights enumerates weightings in blocks of about this many rows.
+_COMPOSITION_BLOCK = 16_384
+
+# Criterion values within this relative distance of the minimum tie; adjacent
+# grid weightings near an optimum differ by about 1e-5 relative at resolution
+# 200, so only rounding-level differences fall inside it.
+_TIE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
@@ -290,25 +298,56 @@ def optimize_design(
                               iterations=iterations)
 
 
+def _composition_blocks(total: int, parts: int):
+    """Yield the weight-count vectors summing to ``total`` in lexicographic
+    order, in blocks of consecutive values of the first count.
+
+    A block holds at most _COMPOSITION_BLOCK rows unless a single first count
+    has more.  Each block is built by ``parts - 2`` vectorised expansions:
+    a row with ``rest`` left to place becomes ``rest + 1`` rows, one per value
+    of the next count.
+    """
+    if parts == 1:
+        yield np.full((1, 1), total, dtype=np.int64)
+        return
+    sizes = [math.comb(total - c + parts - 2, parts - 2) for c in range(total + 1)]
+    start = 0
+    while start <= total:
+        stop, rows = start + 1, sizes[start]
+        while stop <= total and rows + sizes[stop] <= _COMPOSITION_BLOCK:
+            rows += sizes[stop]
+            stop += 1
+        counts = np.arange(start, stop, dtype=np.int64)[:, None]
+        rest = total - counts[:, 0]
+        for _ in range(parts - 2):
+            lengths = rest + 1
+            row = np.repeat(np.arange(rest.size), lengths)
+            nxt = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            counts = np.column_stack([counts[row], nxt])
+            rest = rest[row] - nxt
+        yield np.column_stack([counts, rest])
+        start = stop
+
+
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All weight-count vectors summing to ``total`` in lexicographic order."""
-    if parts == 1:
-        return np.full((1, 1), total, dtype=np.int64)
-    n_slots = total + parts - 1
-    count = math.comb(n_slots, parts - 1)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n_slots), parts - 1)),
-        dtype=np.int64,
-        count=count * (parts - 1),
-    ).reshape(count, parts - 1)
-    edges = np.hstack(
-        [
-            np.full((count, 1), -1, dtype=np.int64),
-            flat,
-            np.full((count, 1), n_slots, dtype=np.int64),
-        ]
-    )
-    return np.diff(edges, axis=1) - 1
+    return np.concatenate(list(_composition_blocks(total, parts)))
+
+
+def _symmetric_terms(G: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row subsets T (one per row) and coefficients c_T with
+    e_m(eigenvalues of G^T diag(w) G) = sum_T c_T prod_{i in T} w_i.
+
+    Cauchy-Binet twice: e_m is the sum of the principal m-minors of M, and the
+    minor on columns S is sum_T prod_T w_i det(G_TS)^2, so c_T = det(G_T G_T^T)
+    is a sum of squares and every e_m is a sum of non-negative products.
+    """
+    r, p = G.shape
+    subsets = list(itertools.combinations(range(r), m))
+    T = np.array(subsets, dtype=np.intp).reshape(len(subsets), m)
+    GT = G[T]
+    c = sum(np.linalg.det(GT[:, :, list(S)]) ** 2 for S in itertools.combinations(range(p), m))
+    return T, c
 
 
 def brute_force_weights(
@@ -316,8 +355,21 @@ def brute_force_weights(
 ) -> Design:
     """Exhaustive search over the simplex grid with the given resolution.
 
-    Slow but assumption-free; intended as an independent check of the
-    closed-form and iterative routes on supports of up to five points.
+    An assumption-free check of the closed-form and iterative routes on
+    supports of up to five points.  The weightings w = n / grid_resolution
+    are enumerated block by block in lexicographic order of the counts n.
+    D (k = 0) and A (k = 1) factor no matrix per weighting: with G = sqrt(u) f,
+    Cauchy-Binet gives the elementary symmetric polynomials e_m of the
+    eigenvalues of M(w) as sums of weight products (``_symmetric_terms``), and
+    Phi_0 = e_p^(-1/p), Phi_1 = e_(p-1) / (p e_p).  Other orders take the
+    eigenvalues of each M(w) and skip weightings past the singularity gate.
+
+    The winner is the first weighting in enumeration order whose value is
+    within a relative _TIE_RTOL of the minimum, so exact ties (such as a
+    weighting and its mirror image in a symmetric model) always resolve to
+    the lexicographically first counts.  Raises SingularMatrixError when the
+    winner's M(w) fails the singularity gate, as on a support with no
+    nonsingular weighting.
     """
     k = parse_criterion_order(k)
     pts = _as_support(spec, points)
@@ -331,30 +383,36 @@ def brute_force_weights(
         raise ValueError("weight grid is too large to enumerate")
 
     G = _scaled_rows(spec, pts)
-    outer_prods = np.einsum("ri,rj->rij", G, G)
-    counts = _compositions(g, r)
     p = spec.p
+    if k in (0.0, 1.0):
+        (T_p, c_p), (T_q, c_q) = _symmetric_terms(G, p), _symmetric_terms(G, p - 1)
+    else:
+        outer_prods = np.einsum("ri,rj->rij", G, G)
 
-    best_value = math.inf
-    best_w = None
-    chunk = 262_144
-    for start in range(0, counts.shape[0], chunk):
-        W = counts[start : start + chunk].astype(float) / g
-        M = np.einsum("nr,rij->nij", W, outer_prods)
-        if k == 0.0:
-            det = np.linalg.det(M)
+    near = []  # (value, counts) within _TIE_RTOL of its block's minimum, in order
+    for counts in _composition_blocks(g, r):
+        W = counts / g
+        if k in (0.0, 1.0):
+            e_p = W[:, T_p].prod(axis=2) @ c_p
             with np.errstate(divide="ignore", invalid="ignore"):
-                values = np.where(det > 0.0, det ** (-1.0 / p), math.inf)
+                if k == 0.0:
+                    values = e_p ** (-1.0 / p)
+                else:
+                    values = W[:, T_q].prod(axis=2) @ c_q / (p * e_p)
+            values[e_p <= 0.0] = math.inf
         else:
-            lam = np.linalg.eigvalsh(M)
+            lam = np.linalg.eigvalsh(np.einsum("nr,rij->nij", W, outer_prods))
             valid = _nonsingular(lam)
             lam_safe = np.where(valid[:, None], lam, 1.0)
             values = np.where(valid, _phi_from_eigenvalues(lam_safe, k), math.inf)
-        i = int(np.argmin(values))
-        if values[i] < best_value:
-            best_value = float(values[i])
-            best_w = W[i]
-    if best_w is None or not math.isfinite(best_value):
+        low = float(values.min())
+        if math.isfinite(low):
+            i = np.flatnonzero(values <= low * (1.0 + _TIE_RTOL))
+            near += zip(values[i].tolist(), counts[i])
+    if near:
+        low = min(v for v, _ in near)
+        best_w = next(c for v, c in near if v <= low * (1.0 + _TIE_RTOL)) / g
+    if not near or not _nonsingular(np.linalg.eigvalsh((G * best_w[:, None]).T @ G)):
         raise SingularMatrixError("no nonsingular weighting exists on this support")
     keep = best_w > 0.0
     return Design.from_arrays(pts[keep], best_w[keep])

@@ -252,6 +252,33 @@ def test_phi_k_value_and_a_value_of_design():
     )
 
 
+def test_criterion_values_of_near_singular_design_match_mpmath():
+    # lam_min / lam_max is about 1.5e-9 here; eigenvalues of the formed M lost
+    # cond(M) eps (relative error 1.9e-8 for Phi_0, 5.6e-8 for a_value), those
+    # of its square root keep about cond(M)^1/2 eps
+    mp = pytest.importorskip("mpmath")
+    spec = g.ModelSpec(g.logistic, g.first_order_intercept(2), (0.0, 0.0, 0.0))
+    d = g.Design.from_arrays([(0.0, 0.0), (0.0, 1.0), (1e-4, 0.0)], [1 / 3] * 3)
+    with mp.workdps(50):
+        M = mp.zeros(3, 3)
+        for x, w in zip(d.points, d.weights):
+            f = [mp.mpf(1), mp.mpf(x[0]), mp.mpf(x[1])]
+            eta = sum(mp.mpf(b) * fi for b, fi in zip(spec.beta, f))
+            u = mp.exp(eta) / (1 + mp.exp(eta)) ** 2
+            M += mp.mpf(w) * u * mp.matrix(f) * mp.matrix(f).T
+        lam = sorted(mp.eigsy(M)[0])
+        trace_inv = sum(1 / v for v in lam)
+        want = {
+            0.0: mp.det(M) ** (-mp.mpf(1) / 3),
+            1.0: trace_inv / 3,
+            2.0: mp.sqrt(sum(v ** -2 for v in lam) / 3),
+            "inf": 1 / lam[0],
+        }
+    for k, value in want.items():
+        assert g.phi_k_value(d, spec, k) == pytest.approx(float(value), rel=1e-12)
+    assert g.a_value(d, spec) == pytest.approx(float(trace_inv), rel=1e-12)
+
+
 def test_min_eigenvalue_pinned_and_symmetry_check():
     lam_min = (0.375 - math.sqrt(0.078125)) / 2.0
     assert g.min_eigenvalue(M_HALF) == pytest.approx(lam_min, rel=1e-13)

@@ -1,6 +1,7 @@
 """Iterative weight descent, support search, and exhaustive grid baselines."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import glmdesign as g
 from glmdesign.errors import ConvergenceError
-from glmdesign.optimize import _compositions, _scaled_rows, _State
+from glmdesign.optimize import _compositions, _scaled_rows, _State, _symmetric_terms
 
 TOL8 = g.OptimizerOptions(convergence_tol=1e-8)
 
@@ -255,6 +256,65 @@ def test_brute_force_matches_axis_reference():
     np.testing.assert_allclose(
         d.weights, (0.2841036534166501, 0.7158963465833499), atol=1e-3
     )
+    # k = 2 takes the eigenvalues of every M(w), block by block; the grid
+    # winner is the one the whole-array enumeration returned
+    assert d.weights == (0.284, 0.716)
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0, 2.0])
+def test_brute_force_one_parameter_takes_the_best_point(k):
+    # p = 1: M(w) = sum w_i u_i x_i^2 is largest with all weight on the point
+    # maximising u x^2 = e^(x/2) x^2; e_(p-1) = e_0 is the empty product 1
+    spec = g.ModelSpec(g.poisson_log, g.first_order_no_intercept(1), (0.5,))
+    d = g.brute_force_weights(spec, [(0.5,), (1.0,), (2.0,)], k, 100)
+    assert d.points == ((2.0,),) and d.weights == (1.0,)
+
+
+COLLINEAR_POISSON = g.ModelSpec(g.poisson_log, g.first_order_intercept(2), (0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("k", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "support", [[(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2), (3, 3)]]
+)
+def test_brute_force_rejects_singular_support(support, k):
+    # M(w) is singular for every w on collinear points; rounding must not make
+    # a tiny positive determinant out of it
+    with pytest.raises(g.SingularMatrixError):
+        g.brute_force_weights(COLLINEAR_POISSON, support, k, 20)
+
+
+@pytest.mark.parametrize(
+    "b0, t, k, resolution",
+    [(-0.5, -0.3, 0.0, 200), (0.0, -0.3, 0.0, 40), (0.0, 0.3, 0.0, 40),
+     (-0.5, -0.4, 1.0, 40), (0.0, -0.1, 1.0, 200), (0.5, 0.2, 1.0, 200)],
+)
+def test_brute_force_breaks_mirror_ties_lexicographically(b0, t, k, resolution):
+    # x1 <-> x2 maps the model onto itself, so a weighting and its mirror tie;
+    # the winner is the first of the two in enumeration order
+    spec = g.ModelSpec(g.poisson_log, g.first_order_intercept(2), (b0, t, t))
+    d = g.brute_force_weights(spec, SQUARE, k, resolution)
+    w = dict(zip(d.points, d.weights))
+    counts = [round(w.get(x, 0.0) * resolution) for x in SQUARE]
+    mirror = [counts[0], counts[2], counts[1], counts[3]]
+    assert counts < mirror
+    swapped = g.Design.from_arrays([SQUARE[i] for i in (0, 2, 1, 3)], d.weights)
+    assert g.phi_k_value(swapped, spec, k) == pytest.approx(g.phi_k_value(d, spec, k), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_cauchy_binet_terms_match_characteristic_polynomial(p):
+    # the reference loses about cond(M) eps through eigvalsh, so the weights
+    # come from Dirichlet(4), which keeps every M(w) here below cond 1e4
+    rng = np.random.default_rng(1700 + p)
+    for r in range(p, 6):
+        for _ in range(5):
+            G = rng.normal(size=(r, p))
+            w = rng.dirichlet(np.full(r, 4.0))
+            coeffs = np.poly(np.linalg.eigvalsh(G.T @ (w[:, None] * G)))
+            for m in (p, p - 1):
+                T, c = _symmetric_terms(G, m)
+                np.testing.assert_allclose(w[T].prod(axis=1) @ c, (-1) ** m * coeffs[m], rtol=1e-12)
 
 
 def test_brute_force_agrees_with_descent_on_four_points():
@@ -268,6 +328,22 @@ def test_compositions_enumeration():
     assert set(C.sum(axis=1).tolist()) == {5}
     assert len({tuple(r) for r in C}) == 21
     np.testing.assert_array_equal(_compositions(2, 2), [[0, 2], [1, 1], [2, 0]])
+
+
+@pytest.mark.parametrize(
+    "total, parts",
+    [(0, 3), (10, 1), (2, 2), (5, 3), (7, 4), (6, 5), (40, 4), (60, 4), (30, 5)],
+)
+def test_compositions_blocks_match_bars_and_stars(total, parts):
+    # stars and bars: each choice of parts - 1 bar slots among total + parts - 1,
+    # in itertools order, is one composition in lexicographic order; the last
+    # two cases span several blocks
+    slots = total + parts - 1
+    want = [
+        np.diff((-1, *bars, slots)) - 1
+        for bars in itertools.combinations(range(slots), parts - 1)
+    ]
+    np.testing.assert_array_equal(_compositions(total, parts), want)
 
 
 def test_brute_force_guard_rails():
