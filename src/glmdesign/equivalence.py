@@ -9,7 +9,10 @@ grid nodes is an explicit, documented limitation rather than a silent one.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,35 +140,54 @@ def verify_design(
 def sensitivity_scan(
     design: Design, spec: ModelSpec, k: float, region: Region
 ) -> list[tuple[tuple[float, ...], float, float]]:
-    """Tabulate (point, sensitivity, bound) over the region in lexicographic order."""
+    """Tabulate (point, sensitivity, bound) over the region in lexicographic order.
+
+    Each row is a tuple of Python floats (the point), then the sensitivity
+    and the bound as Python floats.  Rows are built column by column, one
+    row block at a time, so no list of every coordinate is held at once.
+    """
     cand = region_points(region)
     if cand.shape[0] == 0:
         raise ValueError("scan region is empty")
     kernel = _SensitivityKernel(design, spec, k)
     sens = kernel.many(cand)
-    return [
-        (tuple(float(c) for c in pt), float(s), kernel.bound)
-        for pt, s in zip(cand, sens)
-    ]
+    rows: list[tuple[tuple[float, ...], float, float]] = []
+    for b in _row_blocks(cand.shape[0]):
+        points = zip(*cand[b].T.tolist())
+        rows.extend(zip(points, sens[b].tolist(), itertools.repeat(kernel.bound)))
+    return rows
 
 
 def write_scan_csv(rows, out) -> None:
-    """Write a scan table as CSV with 17-significant-digit decimal floats."""
+    """Write a scan table as CSV with 17-significant-digit decimal floats.
+
+    ``out`` is a path or an open text file.  A path is rewritten in place
+    and then cut to the length written, not truncated first: truncating a
+    large file written moments earlier can stall far longer than writing
+    it.  On any exit a regular file holds exactly what was written; a
+    target that is not a regular file (a pipe, ``os.devnull``) is only
+    written.  An open file is written at its position and left open.
+    """
     if not rows:
         raise ValueError("cannot write an empty scan")
     nu = len(rows[0][0])
     header = ",".join([f"x{i + 1}" for i in range(nu)] + ["sensitivity", "bound"])
-
-    def fmt(v: float) -> str:
-        return f"{v:.{SCAN_DIGITS}g}"
+    # %-formatting a float and format(v, ".17g") produce the same digits
+    line = ",".join([f"%.{SCAN_DIGITS}g"] * (nu + 2)) + "\n"
 
     def emit(fh) -> None:
         fh.write(header + "\n")
-        for pt, sens, bound in rows:
-            fh.write(",".join([fmt(c) for c in pt] + [fmt(sens), fmt(bound)]) + "\n")
+        step = designs.ROW_BLOCK
+        for start in range(0, len(rows), step):
+            fh.write("".join([line % (*pt, s, b) for pt, s, b in rows[start:start + step]]))
 
     if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            emit(fh)
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            try:
+                emit(fh)
+            finally:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
     else:
         emit(out)

@@ -67,7 +67,10 @@ def _probit_u(eta):
 
 
 def _poisson_u(eta):
-    return np.exp(np.asarray(eta, dtype=float))
+    # exp overflows to inf above eta ~ 709.78; intensity_many turns that
+    # into a DomainError naming the point
+    with np.errstate(over="ignore"):
+        return np.exp(np.asarray(eta, dtype=float))
 
 
 def _gamma_u(eta):
@@ -275,7 +278,7 @@ def intensity_many(spec: ModelSpec, X) -> np.ndarray:
         bad = pts[np.argmin(good)]
         raise DomainError(
             f"intensity of family {spec.family.name!r} is not finite and positive "
-            f"at point {tuple(bad)}"
+            f"at point {tuple(float(v) for v in bad)}"
         )
     return u
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -352,3 +353,99 @@ def test_block_errors_match_one_pass(monkeypatch, spec, design, pts, error):
     monkeypatch.setattr(designs, "ROW_BLOCK", BLOCK)
     assert [_error_text(call) for call in calls] == whole
     assert all(kind is error for kind, _ in whole)
+
+
+# ------------------------------------------------------------ scan tables
+
+
+def _scan_case(nu, n):
+    spec = g.ModelSpec(g.logistic, g.first_order_intercept(nu), (0.3, -0.8, 0.5, 1.1)[: nu + 1])
+    support = [(0.0,) * nu] + [tuple(float(i == j) for j in range(nu)) for i in range(nu)]
+    design = g.Design(tuple(support), (1.0 / (nu + 1),) * (nu + 1))
+    region = g.FiniteSet(tuple(map(tuple, np.random.default_rng(n).uniform(-2, 2, (n, nu)))))
+    return design, spec, region
+
+
+def _reference_rows(design, spec, k, region):
+    """One row at a time, as the scan was first written."""
+    cand = g.region_points(region)
+    kernel = _SensitivityKernel(design, spec, k)
+    sens = kernel.many(cand)
+    return [(tuple(float(c) for c in pt), float(s), kernel.bound) for pt, s in zip(cand, sens)]
+
+
+def _reference_csv(rows):
+    nu = len(rows[0][0])
+    lines = [",".join([f"x{i + 1}" for i in range(nu)] + ["sensitivity", "bound"])]
+    lines += [",".join(f"{v:.17g}" for v in (*pt, s, b)) for pt, s, b in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@pytest.mark.parametrize("k", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_scan_matches_per_row_reference(small_blocks, tmp_path, nu, k, n):
+    design, spec, region = _scan_case(nu, n)
+    rows = g.sensitivity_scan(design, spec, k, region)
+    ref = _reference_rows(design, spec, k, region)
+    assert rows == ref
+    for pt, s, b in rows:
+        assert type(pt) is tuple and len(pt) == nu
+        assert all(type(c) is float for c in pt)
+        assert type(s) is float and type(b) is float
+    buf = io.StringIO()
+    g.write_scan_csv(rows, buf)
+    assert buf.getvalue() == _reference_csv(ref)
+    out = tmp_path / "scan.csv"
+    g.write_scan_csv(rows, out)
+    assert out.read_bytes() == _reference_csv(ref).encode()
+
+
+STALE = "stale row that a rewrite must not leave behind\n" * 200
+
+
+def test_scan_rewrites_in_place_without_stale_tail(small_blocks, tmp_path):
+    design, spec, region = _scan_case(2, 2 * BLOCK + 1)
+    rows = g.sensitivity_scan(design, spec, 0.0, region)
+    target = tmp_path / "scan.csv"
+    target.write_text(STALE)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    inode = os.stat(target).st_ino
+    for out in (target, str(link)):
+        g.write_scan_csv(rows, out)
+        assert target.read_text() == _reference_csv(rows)
+        assert os.stat(target).st_ino == inode
+    assert link.is_symlink()
+
+
+def test_scan_row_failing_midway_leaves_a_prefix(small_blocks, tmp_path):
+    design, spec, region = _scan_case(1, 3 * BLOCK)
+    rows = g.sensitivity_scan(design, spec, 0.0, region)
+    full = _reference_csv(rows)
+    rows[2 * BLOCK - 1] = (("not a number",), 0.0, 0.0)
+    out = tmp_path / "scan.csv"
+    out.write_text(STALE)
+    with pytest.raises((TypeError, ValueError)):
+        g.write_scan_csv(rows, out)
+    text = out.read_text()
+    assert text.startswith("x1,sensitivity,bound\n") and text.endswith("\n")
+    assert full.startswith(text) and len(text) < len(full)
+
+
+def test_scan_writes_to_devnull():
+    design, spec, region = _scan_case(2, BLOCK + 1)
+    g.write_scan_csv(g.sensitivity_scan(design, spec, 0.0, region), os.devnull)
+
+
+def test_scan_new_file_mode_follows_umask(tmp_path):
+    design, spec, region = _scan_case(1, 3)
+    rows = g.sensitivity_scan(design, spec, 0.0, region)
+    old = os.umask(0o027)
+    try:
+        g.write_scan_csv(rows, tmp_path / "scan.csv")
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "scan.csv").st_mode == os.stat(tmp_path / "plain.csv").st_mode

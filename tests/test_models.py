@@ -135,6 +135,18 @@ def test_gamma_domain_violations():
         g.ModelSpec(g.gamma_inverse, g.first_order_no_intercept(2), (1.0, -2.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_poisson_overflow_fails_typed_naming_the_point():
+    # exp(800) overflows; the caller gets the DomainError, not a RuntimeWarning
+    spec = g.ModelSpec(g.poisson_log, g.single_factor_intercept(), (0.0, 800.0))
+    with pytest.raises(DomainError, match=r"at point \(1\.0,\)$"):
+        g.intensity_many(spec, [[0.0], [1.0]])
+    with pytest.raises(DomainError, match=r"at point \(1\.0,\)$"):
+        g.verify_design(
+            g.Design(((0.0,), (1.0,)), (0.5, 0.5)), spec, 0.0, g.FiniteSet(((0.0,), (1.0,)))
+        )
+
+
 def test_unit_information_pinned():
     spec = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 1.0))
     u = math.exp(1.0) / (1.0 + math.exp(1.0)) ** 2
