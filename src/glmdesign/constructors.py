@@ -7,7 +7,10 @@ are certifiable through the equivalence theorem on the stated region; the
 slack is reported so callers can trace decisions near case boundaries.
 D weights on p + 1 points, all carrying mass, come from one bracketed root
 (_d_root) behind one drop rule (_d_drop), for fourpoint_d_weights and for
-the four-point case of two_factor_design alike.
+the four-point case of two_factor_design alike.  The four-point A weights of
+two_factor_design come from Newton steps on the Cauchy-Binet form of
+tr M^-1 (_a_root).  Both run in scalar arithmetic; nothing here calls the
+general weight solve of the optimize module.
 """
 
 from __future__ import annotations
@@ -19,9 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import BinaryHypercube, Design, Region, parse_criterion_order, region_points
+from .designs import (
+    BinaryHypercube,
+    Design,
+    Region,
+    _symmetric_terms,
+    parse_criterion_order,
+    region_points,
+)
 from .equivalence import _SensitivityKernel
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 from .models import (
     FIRST_ORDER_INTERCEPT,
     FIRST_ORDER_NO_INTERCEPT,
@@ -30,13 +40,21 @@ from .models import (
     intensity_many,
     regression_matrix,
 )
-from .optimize import OptimizerOptions, optimize_weights
 
 # condition_ok is the margin staying above this signed slack
 CONDITION_SLACK = -1e-12
 
 # relative agreement demanded of the four-point stationarity certificate
 FOURPOINT_CERT_RTOL = 1e-8
+
+# relative support gap at which the four-point A weights stop
+A_FOURPOINT_TOL = 1e-12
+
+# Newton steps, and halvings of one step, before the four-point A weights
+# give up; tr M^-1 may rise by this relative rounding slack in a step
+_A_NEWTON_STEPS = 100
+_A_HALVINGS = 60
+_A_VALUE_RTOL = 1e-14
 
 D_CRITERION = "D"
 A_CRITERION = "A"
@@ -170,27 +188,153 @@ def _d_root(v: np.ndarray, p: int) -> np.ndarray:
     and the other p - 1 could not make up the rest.  So only the smallest-v
     point m may take the lower root.
 
-    The bisection runs in s = w_m - h, which spans both branches of m.  With
+    The root is found in s = w_m - h, which spans both branches of m.  With
     b_i = v_m / v_i <= 1 every other weight is h + R_i, where
     R_i = sqrt(h^2 (1 - b_i) + s^2 b_i) is free of cancellation, and
     sum(w) - 1 = (s + h) g(s), g(s) = 1 - sum_{i != m} b_i (h - s) / (R_i + h).
     g does not decrease in s; it is v_m times the drop margin of _d_drop at
     s = -h and 1 at s = h.
+
+    Newton steps on g start at s = 0 and shrink the bracket [-h, h], which
+    each evaluated sign narrows; a step that leaves the bracket is replaced
+    by its midpoint.  The search stops when a Newton step rounds to s itself
+    or the bracket closes on adjacent doubles, so s lies within the rounding
+    band of g, about p eps / g'(s) wide, around the root.
     """
     v = [float(vi) for vi in v]
     m = v.index(min(v))
     h = 0.5 / p
     b = [v[m] / vi for i, vi in enumerate(v) if i != m]
-
-    def others(s: float) -> list[float]:
-        return [math.sqrt(h * h * (1.0 - bi) + s * s * bi) for bi in b]
+    # R_i^2 = c_i + s^2 b_i
+    c = [h * h * (1.0 - bi) for bi in b]
 
     lo, hi, s = -h, h, 0.0
     while lo < s < hi:
-        g = 1.0 - sum(bi * (h - s) / (ri + h) for bi, ri in zip(b, others(s)))
-        lo, hi = (lo, s) if g > 0.0 else (s, hi)
-        s = 0.5 * (lo + hi)
-    return np.insert(h + np.array(others(s)), m, h + s)
+        total = slope = 0.0
+        for bi, ci in zip(b, c):
+            ri = math.sqrt(ci + s * s * bi)
+            ti = bi * (h - s) / (ri + h)
+            total += ti
+            # -dt_i/ds, with dR_i/ds = s b_i / R_i (R_i = 0 only at s = 0)
+            slope += (bi + (ti * s * bi / ri if ri > 0.0 else 0.0)) / (ri + h)
+        g = 1.0 - total
+        if g > 0.0:
+            hi = s
+        else:
+            lo = s
+        nxt = s - g / slope if slope > 0.0 else math.nan
+        if nxt == s:
+            break
+        s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    r = [math.sqrt(ci + s * s * bi) for bi, ci in zip(b, c)]
+    return np.insert(h + np.array(r), m, h + s)
+
+
+def _spd_solve(H: list[list[float]], *columns: list[float]) -> list[list[float]]:
+    """x with H x = c for each column c, H small, symmetric and positive
+    definite, by elimination without pivoting."""
+    n = len(H)
+    rows = [H[i] + [c[i] for c in columns] for i in range(n)]
+    for col in range(n):
+        top = rows[col]
+        if not top[col] > 0.0:
+            raise ConvergenceError("four-point A Newton system is not positive definite")
+        for row in rows[col + 1:]:
+            f = row[col] / top[col]
+            for j in range(col + 1, len(row)):
+                row[j] -= f * top[j]
+    solutions = []
+    for k in range(n, n + len(columns)):
+        x = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            row = rows[i]
+            x[i] = (row[k] - sum([row[j] * x[j] for j in range(i + 1, n)])) / row[i]
+        solutions.append(x)
+    return solutions
+
+
+def _a_root(G: np.ndarray) -> list[float]:
+    """A-optimal weights on the p + 1 rows of G = sqrt(u) f, all carrying
+    mass, to a relative support gap of A_FOURPOINT_TOL.
+
+    By Cauchy-Binet (designs._symmetric_terms) tr M^-1 = e_(p-1) / e_p, with
+    e_m the elementary symmetric polynomials of the eigenvalues of M(w): sums
+    of non-negative coefficients times weight products.  On p + 1 points each
+    product leaves out one point k (in e_p) or two points k < l (in e_(p-1)),
+    so with y = 1/w, tr M^-1 = Q / L where L = sum_k alpha_k y_k and
+    Q = sum_{k<l} beta_kl y_k y_l.  The sensitivity at point j over the bound
+    is s_j = y_j (L_j / L - Q_j / Q), L_j and Q_j summing the terms free of
+    y_j, so no term of it cancels; the support gap is max |s_j - 1|.
+
+    tr M^-1 is convex in w.  Each Newton step on the simplex is taken in
+    relative terms e = d / w: with a_j = alpha_j y_j / L, q_kl = beta_kl y_k
+    y_l / Q (zero on the diagonal) and g_j = -w_j s_j, the gradient and
+    Hessian of tr M^-1 over tr M^-1 in e are g and
+    H = q + a g^T + g a^T - 2 diag(g), and e minimizes g^T e + e^T H e / 2
+    subject to w^T e = 0.  The step is halved until every weight stays
+    positive and tr M^-1 does not rise beyond its rounding.
+    """
+    r = G.shape[0]
+    points = set(range(r))
+    alpha = [0.0] * r
+    T, c = _symmetric_terms(G, r - 1)
+    for subset, ck in zip(T.tolist(), c.tolist()):
+        (k,) = points.difference(subset)
+        alpha[k] = ck
+    pairs = []  # (k, l, beta_kl)
+    T, c = _symmetric_terms(G, r - 2)
+    for subset, ckl in zip(T.tolist(), c.tolist()):
+        k, l = sorted(points.difference(subset))
+        pairs.append((k, l, ckl))
+    # per point j: the points and the pairs that leave j out
+    rest = [[k for k in range(r) if k != j] for j in range(r)]
+    apart = [[i for i, (k, l, _) in enumerate(pairs) if j not in (k, l)] for j in range(r)]
+
+    def state(w):
+        y = [1.0 / wj for wj in w]
+        a = [ak * yk for ak, yk in zip(alpha, y)]
+        q = [bkl * y[k] * y[l] for k, l, bkl in pairs]
+        L, Q = sum(a), sum(q)
+        s = [
+            y[j] * (sum([a[k] for k in rest[j]]) / L - sum([q[i] for i in apart[j]]) / Q)
+            for j in range(r)
+        ]
+        return Q / L, s, [ak / L for ak in a], [qkl / Q for qkl in q]
+
+    w = [1.0 / r] * r
+    f, s, a, q = state(w)
+    for _ in range(_A_NEWTON_STEPS):
+        gap = max([abs(sj - 1.0) for sj in s])
+        # half the tolerance: the SVD certificate rounds the gap differently
+        if gap <= 0.5 * A_FOURPOINT_TOL:
+            return w
+        g = [-wj * sj for wj, sj in zip(w, s)]
+        H = [[a[i] * g[j] + a[j] * g[i] for j in range(r)] for i in range(r)]
+        for (k, l, _), qkl in zip(pairs, q):
+            H[k][l] += qkl
+            H[l][k] += qkl
+        for j in range(r):
+            H[j][j] -= 2.0 * g[j]
+        # e = -H^-1 (g + lam w), with lam setting w^T e = 0
+        x, z = _spd_solve(H, g, w)
+        lam = sum([wj * xj for wj, xj in zip(w, x)]) / sum([wj * zj for wj, zj in zip(w, z)])
+        e = [lam * zj - xj for xj, zj in zip(x, z)]
+        t = 1.0
+        for _ in range(_A_HALVINGS):
+            trial = [wj * (1.0 + t * ej) for wj, ej in zip(w, e)]
+            if min(trial) > 0.0:
+                total = sum(trial)
+                trial = [wj / total for wj in trial]
+                new = state(trial)
+                if new[0] <= f * (1.0 + _A_VALUE_RTOL):
+                    break
+            t *= 0.5
+        else:
+            raise ConvergenceError(f"four-point A line search failed at relative gap {gap!r}")
+        w, (f, s, a, q) = trial, new
+    raise ConvergenceError(
+        f"four-point A weights stopped at relative gap {gap!r} after {_A_NEWTON_STEPS} steps"
+    )
 
 
 def phik_axis_weights(spec: ModelSpec, a, k: float) -> np.ndarray:
@@ -235,14 +379,16 @@ def binary_two_point_design(spec: ModelSpec, a: float, b: float, criterion: str)
 
 
 def _second_derivative_inverse_intensity(spec: ModelSpec, xs: np.ndarray) -> np.ndarray:
-    """q''(x) for q(x) = 1 / u(x, beta) along a single factor."""
-    if spec.family.d2_inverse_intensity is not None:
-        beta1 = spec.beta[1]
-        eta = spec.beta[0] + beta1 * xs
-        return beta1 * beta1 * np.asarray(spec.family.d2_inverse_intensity(eta), dtype=float)
-    h = 1e-4 * np.maximum(1.0, np.abs(xs))
-    q = lambda t: 1.0 / intensity_many(spec, t[:, None])
-    return (q(xs - h) - 2.0 * q(xs) + q(xs + h)) / (h * h)
+    """q''(x) for q(x) = 1 / u(x, beta) along a single factor; overflow is
+    left as inf for the caller to reject."""
+    with np.errstate(over="ignore"):
+        if spec.family.d2_inverse_intensity is not None:
+            beta1 = spec.beta[1]
+            eta = spec.beta[0] + beta1 * xs
+            return beta1 * beta1 * np.asarray(spec.family.d2_inverse_intensity(eta), dtype=float)
+        h = 1e-4 * np.maximum(1.0, np.abs(xs))
+        q = lambda t: 1.0 / intensity_many(spec, t[:, None])
+        return (q(xs - h) - 2.0 * q(xs) + q(xs + h)) / (h * h)
 
 
 def interval_boundary_design(
@@ -272,7 +418,13 @@ def interval_boundary_design(
         w = np.array([_SQRT2 * q0, q1])
         w = w / w.sum()
         label = "A-boundary"
-    margin = float((lhs - qpp / 2.0).min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        margin = float((lhs - qpp / 2.0).min())
+    if not (np.isfinite(qpp).all() and math.isfinite(margin)):
+        raise DomainError(
+            f"the convexity condition of the boundary design leaves the double range "
+            f"at beta={spec.beta!r}: q'' = (1/u)'' or the margin is not finite on [0, 1]"
+        )
     return _result(Design.from_arrays(ends, w), label, margin)
 
 
@@ -312,9 +464,10 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     drop rule holds (_d_drop), or four-point weights solving
     u_i w_i (1/3 - w_i) = c (_d_root), certified by the sensitivity reaching
     p = 3 at all four corners.
-    A: one of four dominant-corner three-point designs, falling back to
-    four-point weights from the Newton weight solve at tolerance 1e-12 when
-    no inequality holds.
+    A: one of four dominant-corner three-point designs, or, when no
+    inequality holds, four-point weights from Newton steps on the
+    Cauchy-Binet form tr M^-1 = e_2 / e_3 (_a_root) to a relative support
+    gap of 1e-12.
     """
     crit = _criterion(criterion)
     _require_kind(spec, (FIRST_ORDER_INTERCEPT,), "the two-factor design")
@@ -343,7 +496,10 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
             w = np.asarray(mult) * q[list(others)]
             design = Design.from_arrays(corners[list(others)], w / w.sum())
             return _result(design, f"A-3pt-drop{dom + 1}", margin)
-    design = optimize_weights(spec, corners, 1.0, OptimizerOptions(convergence_tol=1e-12))
+    # rows sqrt(u) f with u over its maximum: tr M^-1 only scales, and the
+    # products of _symmetric_terms stay in range
+    G = regression_matrix(spec, corners) * np.sqrt(u / u.max())[:, None]
+    design = Design.from_arrays(corners, _a_root(G))
     # governing condition: no dominant-corner inequality holds
     margin = float(-max(shortfalls))
     return _result(design, "A-4pt-numeric", margin)

@@ -47,8 +47,13 @@ ROW_BLOCK = 8192
 
 def canonical_point(x) -> tuple[float, ...]:
     """Round each coordinate to 12 significant digits; the identity key for points."""
-    pt = np.atleast_1d(np.asarray(x, dtype=float))
-    return tuple(float(f"{c:.{CANONICAL_DIGITS}g}") for c in pt)
+    return _canonical_keys([np.atleast_1d(np.asarray(x, dtype=float)).tolist()])[0]
+
+
+def _canonical_keys(rows: list[list[float]]) -> list[tuple[float, ...]]:
+    """The canonical_point key of each row of Python floats."""
+    fmt = f"%.{CANONICAL_DIGITS}g"
+    return [tuple([float(fmt % c) for c in row]) for row in rows]
 
 
 def parse_criterion_order(value) -> float:
@@ -87,18 +92,16 @@ class Design:
             raise ValueError(
                 f"design weights sum to {float(w.sum())!r}, outside 1 +/- {WEIGHT_SUM_TOL}"
             )
-        keys = [canonical_point(p) for p in pts]
-        if len(set(keys)) != len(keys):
+        rows = pts.tolist()
+        if len(set(_canonical_keys(rows))) != len(rows):
             raise ValueError("design points must be pairwise distinct")
-        object.__setattr__(self, "points", tuple(tuple(float(c) for c in p) for p in pts))
-        object.__setattr__(self, "weights", tuple(float(v) for v in w))
+        object.__setattr__(self, "points", tuple(map(tuple, rows)))
+        object.__setattr__(self, "weights", tuple(w.tolist()))
 
     @classmethod
     def from_arrays(cls, points, weights) -> "Design":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return cls(tuple(map(tuple, pts)), tuple(np.asarray(weights, dtype=float)))
+        # __post_init__ converts the arrays to the stored tuples
+        return cls(np.asarray(points, dtype=float), np.asarray(weights, dtype=float))
 
     @property
     def point_array(self) -> np.ndarray:
@@ -426,6 +429,22 @@ class _EigenState:
                 f"sensitivity overflows at order k={self.k!r} on some candidate point"
             )
         return sens
+
+
+def _symmetric_terms(G: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row subsets T (one per row) and coefficients c_T with
+    e_m(eigenvalues of G^T diag(w) G) = sum_T c_T prod_{i in T} w_i.
+
+    Cauchy-Binet twice: e_m is the sum of the principal m-minors of M, and the
+    minor on columns S is sum_T prod_T w_i det(G_TS)^2, so c_T = det(G_T G_T^T)
+    is a sum of squares and every e_m is a sum of non-negative products.
+    """
+    r, p = G.shape
+    subsets = list(itertools.combinations(range(r), m))
+    T = np.array(subsets, dtype=np.intp).reshape(len(subsets), m)
+    GT = G[T]
+    c = sum(np.linalg.det(GT[:, :, list(S)]) ** 2 for S in itertools.combinations(range(p), m))
+    return T, c
 
 
 def min_eigenvalue(M) -> float:

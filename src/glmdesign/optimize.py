@@ -12,7 +12,6 @@ bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .designs import (
     _nonsingular,
     _phi_from_eigenvalues,
     _scaled_rows,
+    _symmetric_terms,
     canonical_point,
     parse_criterion_order,
     region_points,
@@ -332,22 +332,6 @@ def _composition_blocks(total: int, parts: int):
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All weight-count vectors summing to ``total`` in lexicographic order."""
     return np.concatenate(list(_composition_blocks(total, parts)))
-
-
-def _symmetric_terms(G: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row subsets T (one per row) and coefficients c_T with
-    e_m(eigenvalues of G^T diag(w) G) = sum_T c_T prod_{i in T} w_i.
-
-    Cauchy-Binet twice: e_m is the sum of the principal m-minors of M, and the
-    minor on columns S is sum_T prod_T w_i det(G_TS)^2, so c_T = det(G_T G_T^T)
-    is a sum of squares and every e_m is a sum of non-negative products.
-    """
-    r, p = G.shape
-    subsets = list(itertools.combinations(range(r), m))
-    T = np.array(subsets, dtype=np.intp).reshape(len(subsets), m)
-    GT = G[T]
-    c = sum(np.linalg.det(GT[:, :, list(S)]) ** 2 for S in itertools.combinations(range(p), m))
-    return T, c
 
 
 def brute_force_weights(

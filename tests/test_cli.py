@@ -293,13 +293,28 @@ def test_integral_float_grid_is_accepted(tmp_path):
     assert run_cli(tmp_path, INTERVAL | {"grid": [50.0]}) == run_cli(tmp_path, INTERVAL | {"grid": [50]})
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_result_is_model_error(tmp_path):
-    # q = 1/u overflows along the interval, so the condition margin is -inf,
-    # which strict JSON cannot carry
+    # q = 1/u overflows along the interval, so its condition margin would be
+    # -inf: the constructor raises a DomainError naming beta instead
     job = json.loads(json.dumps(INTERVAL))
     job["model"]["beta"] = [0.0, 705.0]
-    with np.errstate(over="ignore"):
-        code, out = run_cli(tmp_path, job)
+    code, out = run_cli(tmp_path, job)
+    assert code == EXIT_MODEL
+    doc = json.loads(out)
+    assert doc["error"] == "model"
+    assert "beta=(0.0, 705.0)" in doc["message"]
+
+
+def test_non_finite_number_in_output_is_model_error(tmp_path, monkeypatch):
+    # a non-finite number that reaches the output is refused, because strict
+    # JSON cannot carry it
+    def infinite_margin(spec, crit, grid_n=999):
+        design = glmdesign.Design.from_arrays([(0.0,), (1.0,)], [0.5, 0.5])
+        return glmdesign.ConstructResult(design, "D-boundary", False, -np.inf)
+
+    monkeypatch.setattr("glmdesign.constructors.interval_boundary_design", infinite_margin)
+    code, out = run_cli(tmp_path, INTERVAL)
     assert code == EXIT_MODEL
     doc = json.loads(out)
     assert doc["error"] == "model"

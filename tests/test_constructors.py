@@ -7,13 +7,18 @@ run at tolerances far below the assertion tolerances.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
+from glmdesign import constructors, optimize
+from glmdesign.constructors import _d_drop, _d_root
+from glmdesign.designs import _EigenState, _scaled_rows
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
@@ -94,6 +99,89 @@ def symmetric_fourpoint_reference(u, d2):
     half_diff = (a - b) * w2 / (4.0 * a * b)
     w = np.array([(1.0 - 2.0 * w2) / 2.0 + half_diff, w2, w2, (1.0 - 2.0 * w2) / 2.0 - half_diff])
     return w / w.sum()
+
+
+def bisection_d_root(v, p):
+    """The bisection _d_root replaced, same g and branch rule: halves the
+    bracket [-h, h] of s = w_m - h from s = 0 until it closes on adjacent
+    doubles.  Returns the weights and g'(s) at the root."""
+    v = [float(vi) for vi in v]
+    m = v.index(min(v))
+    h = 0.5 / p
+    b = [v[m] / vi for i, vi in enumerate(v) if i != m]
+
+    def others(s):
+        return [math.sqrt(h * h * (1.0 - bi) + s * s * bi) for bi in b]
+
+    lo, hi, s = -h, h, 0.0
+    while lo < s < hi:
+        g_s = 1.0 - sum(bi * (h - s) / (ri + h) for bi, ri in zip(b, others(s)))
+        lo, hi = (lo, s) if g_s > 0.0 else (s, hi)
+        s = 0.5 * (lo + hi)
+    r = others(s)
+    # g'(s) = sum_i (b_i + t_i s b_i / R_i) / (R_i + h), t_i = b_i (h - s) / (R_i + h)
+    slope = 0.0
+    for bi, ri in zip(b, r):
+        ti = bi * (h - s) / (ri + h)
+        slope += (bi + (ti * s * bi / ri if ri > 0.0 else 0.0)) / (ri + h)
+    return np.insert(h + np.array(r), m, h + s), slope
+
+
+def d_root_draws(seed, n):
+    """(v, p) with every point carrying mass: v log-uniform over ratios up to
+    1e8 or up to e^3, or the smallest v placed at drop margins 1e-14 to 1e-1."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < n:
+        p = int(rng.integers(2, 5))
+        kind = len(draws) % 3
+        if kind < 2:
+            v = np.exp(rng.uniform(0.0, math.log(1e8) if kind == 0 else 3.0, p + 1))
+        else:
+            rest = np.exp(rng.uniform(0.0, math.log(1e8), p))
+            margin = 10.0 ** rng.uniform(-14.0, -1.0)
+            v = rng.permutation(np.append(rest, 1.0 / ((1.0 / rest).sum() * (1.0 - margin))))
+        if _d_drop(v)[1] < 0.0:
+            draws.append((v, p))
+    return draws
+
+
+def test_d_root_matches_bisection_reference():
+    # g = 1 - sum of O(1) terms is known to about p eps, so any search ends
+    # within p eps / g'(s) of the root: there the two agree to 1e-15 of the
+    # total mass, and elsewhere within twice that band
+    eps = np.finfo(float).eps
+    tight = 0
+    for v, p in d_root_draws(29, 600):
+        ref, slope = bisection_d_root(v, p)
+        band = p * eps / slope
+        w = _d_root(v, p)
+        np.testing.assert_allclose(w, ref, rtol=1e-15, atol=max(1e-15, 2.0 * band))
+        tight += band < 1e-15
+    assert tight > 400
+
+
+def test_d_root_wide_bands_hold_the_exact_root():
+    # where g is flat at the root both searches are off by about its rounding
+    # band; the new root stays inside it, against a 50-digit root of g
+    eps = np.finfo(float).eps
+    draws = d_root_draws(31, 300)
+    bands = [(p * eps / bisection_d_root(v, p)[1], i) for i, (v, p) in enumerate(draws)]
+    for band, i in sorted(bands)[-4:]:
+        v, p = draws[i]
+        with mpmath.workdps(50):
+            vm = [mpmath.mpf(float(x)) for x in v]
+            m = vm.index(min(vm))
+            h = mpmath.mpf(1) / (2 * p)
+            b = [vm[m] / x for j, x in enumerate(vm) if j != m]
+            R = lambda s: [mpmath.sqrt(h * h * (1 - bi) + s * s * bi) for bi in b]
+            root = mpmath.findroot(
+                lambda s: 1 - sum(bi * (h - s) / (ri + h) for bi, ri in zip(b, R(s))),
+                (-h, h), solver="anderson")
+            exact = [float(h + ri) for ri in R(root)]
+            exact.insert(m, float(h + root))
+        assert band > 1e-15
+        np.testing.assert_allclose(_d_root(v, p), exact, rtol=0.0, atol=2.0 * band)
 
 
 def test_fourpoint_frozen_weights():
@@ -306,6 +394,18 @@ def test_interval_boundary_other_families():
     assert repg.passed
 
 
+@pytest.mark.parametrize("slope", [700.0, 705.0])
+@pytest.mark.parametrize("crit", ["D", "A"])
+def test_interval_boundary_overflowing_curvature_is_domain_error(slope, crit):
+    # q'' = beta_1^2 (e^eta + e^-eta) overflows inside [0, 1]: a typed error
+    # naming beta, with no RuntimeWarning on the way
+    spec = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, slope))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(g.DomainError, match=rf"beta=\(0\.0, {slope}\)"):
+            g.interval_boundary_design(spec, crit)
+
+
 # ------------------------------------------------------------- two factors
 
 
@@ -437,6 +537,78 @@ def test_two_factor_a_four_point_small_weight_certifies():
     assert r.case_label == "A-4pt-numeric"
     assert r.design.size == 4
     assert g.verify_design(r.design, spec, 1.0, g.BinaryHypercube(2), tol=1e-10).passed
+
+
+def two_factor_strata(seed, n):
+    """Seeded two-factor models: the benchmark's three strata (logistic,
+    Poisson, steep logistic) and probit."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for i in range(n):
+        stratum = i % 4
+        if stratum == 0:
+            fam, beta = g.logistic, rng.uniform(-1.5, 0.5, 3)
+        elif stratum == 1:
+            fam, beta = g.poisson_log, rng.uniform(-1.0, 0.5, 3)
+        elif stratum == 2:
+            fam, beta = g.logistic, (rng.uniform(-1.0, 1.0), *rng.uniform(-3.0, -1.5, 2))
+        else:
+            fam, beta = g.probit, rng.uniform(-1.5, 0.5, 3)
+        specs.append(g.ModelSpec(fam, g.first_order_intercept(2), tuple(beta)))
+    return specs
+
+
+def eigen_support_gap(spec, design):
+    G = _scaled_rows(spec, design.point_array)
+    state = _EigenState(G, design.weight_array, 1.0)
+    return float(np.abs(state.scores(G) - state.bound).max()) / state.bound
+
+
+def test_two_factor_a_four_point_matches_newton_weight_solve():
+    opts = g.OptimizerOptions(convergence_tol=1e-12)
+    families = set()
+    for spec in two_factor_strata(7, 240):
+        r = g.two_factor_design(spec, "A")
+        if r.case_label != "A-4pt-numeric":
+            continue
+        families.add(spec.family.name)
+        ref = g.optimize_weights(spec, SQUARE, 1.0, opts)
+        assert ref.points == r.design.points
+        np.testing.assert_allclose(r.design.weights, ref.weights, rtol=0.0, atol=1e-12)
+        assert eigen_support_gap(spec, r.design) <= 1e-12
+    assert families == {"logistic", "poisson_log", "probit"}
+
+
+def test_two_factor_a_four_point_within_brute_force_grid():
+    checked = 0
+    for spec in two_factor_strata(8, 40):
+        r = g.two_factor_design(spec, "A")
+        if r.case_label != "A-4pt-numeric" or checked == 8:
+            continue
+        bf = g.brute_force_weights(spec, SQUARE, 1.0, 200)
+        np.testing.assert_allclose(bf.weights, r.design.weights, atol=2.0 / 200)
+        checked += 1
+    assert checked == 8
+
+
+def test_two_factor_a_small_weight_support_gap():
+    spec = logistic2((-0.9789176901409578, -3.344574806950482, 0.5758376748180476))
+    r = g.two_factor_design(spec, "A")
+    assert min(r.design.weights) < 1e-4
+    assert eigen_support_gap(spec, r.design) <= 1e-12
+
+
+def test_two_factor_a_never_calls_the_weight_solve(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("two_factor_design called the general weight solve")
+
+    monkeypatch.setattr(optimize, "optimize_weights", fail)
+    monkeypatch.setattr(optimize, "_solve_weights", fail)
+    assert "optimize_weights" not in vars(constructors)
+    four = 0
+    for spec in two_factor_strata(9, 40):
+        four += g.two_factor_design(spec, "A").case_label == "A-4pt-numeric"
+    assert four > 0
 
 
 def test_two_factor_never_raises_on_seeded_betas():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
-from glmdesign.designs import region_label
+from glmdesign.designs import _canonical_keys, region_label
 from glmdesign.errors import SingularMatrixError
 
 LOGISTIC_01 = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 0.0))
@@ -50,6 +50,40 @@ def test_duplicate_points_detected_after_canonical_rounding():
 def test_canonical_point_rounds_to_12_significant_digits():
     assert g.canonical_point([0.1234567890123456]) == (0.123456789012,)
     assert g.canonical_point([0.0, -1.0]) == (0.0, -1.0)
+
+
+def numpy_canonical_point(row):
+    """The per-coordinate key canonical_point formed from numpy floats before
+    keys were built from one tolist() pass."""
+    return tuple(float(f"{c:.12g}") for c in np.atleast_1d(np.asarray(row, dtype=float)))
+
+
+def test_canonical_keys_match_canonical_point():
+    # Design keys its points from one tolist() pass; the keys must equal the
+    # numpy per-coordinate ones bit for bit, sign of zero included
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1e308, -1e308,
+               1.7976931348623157e308, 0.1234567890123456, 1.0 + 1e-13]
+    pts = np.concatenate([
+        rng.normal(size=(200, 3)) * 10.0 ** rng.integers(-320, 308, size=(200, 3)),
+        rng.choice(special, size=(200, 3)),
+    ])
+    keys = _canonical_keys(pts.tolist())
+    for key, row in zip(keys, pts):
+        ref = numpy_canonical_point(row)
+        for got in (key, g.canonical_point(row)):
+            assert got == ref
+            assert [math.copysign(1.0, c) for c in got] == [math.copysign(1.0, c) for c in ref]
+
+
+def test_design_stores_the_same_floats_as_before():
+    pts = np.array([[0.1, -0.0], [1e308, 5e-324], [0.3, 1.0 / 3.0]])
+    w = np.array([0.2, 0.3, 0.5])
+    d = g.Design.from_arrays(pts, w)
+    assert d.points == tuple(tuple(float(c) for c in row) for row in pts)
+    assert d.weights == tuple(float(x) for x in w)
+    assert all(type(c) is float for row in d.points for c in row)
+    assert all(type(x) is float for x in d.weights)
 
 
 def test_from_arrays_promotes_one_dimensional_points():

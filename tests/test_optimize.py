@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
+from glmdesign.designs import _scaled_rows, _symmetric_terms
 from glmdesign.errors import ConvergenceError
-from glmdesign.optimize import _compositions, _scaled_rows, _State, _symmetric_terms
+from glmdesign.optimize import _compositions, _State
 
 TOL8 = g.OptimizerOptions(convergence_tol=1e-8)
 
