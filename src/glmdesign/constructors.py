@@ -264,7 +264,9 @@ def _a_root(G: np.ndarray) -> list[float]:
     so with y = 1/w, tr M^-1 = Q / L where L = sum_k alpha_k y_k and
     Q = sum_{k<l} beta_kl y_k y_l.  The sensitivity at point j over the bound
     is s_j = y_j (L_j / L - Q_j / Q), L_j and Q_j summing the terms free of
-    y_j, so no term of it cancels; the support gap is max |s_j - 1|.
+    y_j: every sum is of non-negative terms, and none is a difference of two
+    sums near L or Q, so s_j keeps its accuracy at small w_j.  The support
+    gap is max |s_j - 1|.
 
     tr M^-1 is convex in w.  Each Newton step on the simplex is taken in
     relative terms e = d / w: with a_j = alpha_j y_j / L, q_kl = beta_kl y_k
