@@ -42,7 +42,6 @@ _TOP_LEVEL_KEYS = {
     "a",
     "design_in",
     "tolerance",
-    "grid",
 }
 
 
@@ -120,15 +119,6 @@ def _parse_design(doc) -> Design:
         raise ConfigError(f"invalid design_in: {exc}") from None
 
 
-def _as_grid(value) -> list[int]:
-    if value is None:
-        return []
-    grid = _as_number_list(value, "grid")
-    _require(all(v.is_integer() for v in grid), "grid must contain finite integers only")
-    _require(all(v >= 2 for v in grid), "grid entries must be at least 2")
-    return [int(v) for v in grid]
-
-
 def _construct(cfg: dict, spec: ModelSpec, k: float, region) -> ConstructResult:
     name = cfg.get("constructor")
     _require(isinstance(name, str), "task 'construct' requires a constructor name")
@@ -148,7 +138,7 @@ def _construct(cfg: dict, spec: ModelSpec, k: float, region) -> ConstructResult:
                  f"constructor {name!r} needs {spec.nu}-dimensional finite_set points")
     a = cfg.get("a")
     a = _as_number_list([1.0] * spec.nu if a is None else a, "a")
-    return build(spec, criterion, region=region, a=a, grid=_as_grid(cfg.get("grid")))
+    return build(spec, criterion, region=region, a=a)
 
 
 def _validate_top_level(cfg) -> None:

@@ -44,6 +44,9 @@ from .models import (
 # condition_ok is the margin staying above this signed slack
 CONDITION_SLACK = -1e-12
 
+# interior points of [0, 1] on which the interval convexity condition is checked
+INTERVAL_GRID_N = 999
+
 # relative agreement demanded of the four-point stationarity certificate
 FOURPOINT_CERT_RTOL = 1e-8
 
@@ -85,6 +88,13 @@ class ConstructResult:
 def _result(design: Design, label: str, margin: float) -> ConstructResult:
     margin = float(margin)
     return ConstructResult(design, label, margin >= CONDITION_SLACK, margin)
+
+
+def _kernel_margin(design: Design, spec: ModelSpec, k: float, cand: np.ndarray) -> float:
+    """min over the candidates of 1 - d(x)/bound, the equivalence theorem's
+    relative slack: >= 0 exactly when the design is order-k optimal on them."""
+    kernel = _SensitivityKernel(design, spec, k)
+    return 1.0 - float(kernel.many(cand).max()) / kernel.bound
 
 
 def _criterion(value: str) -> str:
@@ -393,22 +403,20 @@ def _second_derivative_inverse_intensity(spec: ModelSpec, xs: np.ndarray) -> np.
         return (q(xs - h) - 2.0 * q(xs) + q(xs + h)) / (h * h)
 
 
-def interval_boundary_design(
-    spec: ModelSpec, criterion: str, grid_n: int = 999
-) -> ConstructResult:
+def interval_boundary_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     """Two-point boundary design on the unit interval [0, 1].
 
-    Valid while the stated convexity condition on q = 1/u holds across the
-    interior, which is checked on a uniform grid of ``grid_n`` points.
+    Certifiable while the stated convexity condition on q = 1/u holds across
+    the interior, which is checked on a uniform grid of INTERVAL_GRID_N
+    points.  The condition is sufficient, not necessary: a design with
+    condition_ok=False may still certify.
     """
     crit = _criterion(criterion)
     _require_kind(spec, (SINGLE_FACTOR_INTERCEPT,), "the boundary design")
-    if int(grid_n) != grid_n or grid_n < 2:
-        raise ValueError("grid_n must be an integer >= 2")
     ends = np.array([[0.0], [1.0]])
     u = intensity_many(spec, ends)
     q0s, q1s = 1.0 / u[0], 1.0 / u[1]
-    xs = np.linspace(0.0, 1.0, int(grid_n) + 2)[1:-1]
+    xs = np.linspace(0.0, 1.0, INTERVAL_GRID_N + 2)[1:-1]
     qpp = _second_derivative_inverse_intensity(spec, xs)
     if crit == D_CRITERION:
         lhs = q0s + q1s
@@ -509,37 +517,24 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
 
 def corner_design_multifactor(spec: ModelSpec, criterion: str) -> ConstructResult:
     """Origin-plus-axes design on {0, 1}^nu for a first-order model with
-    intercept, checked against its corner-wise optimality condition."""
+    intercept; its margin is the equivalence theorem's over the 2^nu corners
+    (_kernel_margin)."""
     crit = _criterion(criterion)
     _require_kind(spec, (FIRST_ORDER_INTERCEPT,), "the corner design")
     nu = spec.nu
     if nu < 2:
         raise ValueError("the corner design needs at least two factors")
     support = np.vstack([np.zeros(nu), np.eye(nu)])
-    u_sup = intensity_many(spec, support)
-    corners = np.asarray(list(itertools.product((0.0, 1.0), repeat=nu)))
-    u_cor = intensity_many(spec, corners)
-    s = corners.sum(axis=1)
-
     if crit == D_CRITERION:
-        lhs = (1.0 - s) ** 2 / u_sup[0] + corners @ (1.0 / u_sup[1:])
         w = np.full(nu + 1, 1.0 / (nu + 1.0))
-        label = "D-corner"
     else:
-        qs = 1.0 / np.sqrt(u_sup)
+        qs = 1.0 / np.sqrt(intensity_many(spec, support))
         w = np.concatenate(([math.sqrt(nu + 1.0) * qs[0]], qs[1:]))
         w = w / w.sum()
-        lhs = (
-            qs[0] ** 2 * (1.0 - s) ** 2
-            + corners @ (qs[1:] ** 2)
-            + (2.0 * qs[0] / math.sqrt(nu + 1.0)) * (s - 1.0) * (corners @ qs[1:])
-        )
-        label = "A-corner"
-    # 1 - u lhs, not 1/u - lhs: where u is small the rounding of 1/u - lhs
-    # outgrows the absolute slack, above all at the support corners, where
-    # the inequality is an identity
-    margin = float((1.0 - u_cor * lhs).min())
-    return _result(Design.from_arrays(support, w), label, margin)
+    design = Design.from_arrays(support, w)
+    corners = np.asarray(list(itertools.product((0.0, 1.0), repeat=nu)))
+    margin = _kernel_margin(design, spec, 0.0 if crit == D_CRITERION else 1.0, corners)
+    return _result(design, f"{crit}-corner", margin)
 
 
 def axis_design(
@@ -551,8 +546,8 @@ def axis_design(
     Fast paths: the inverse-link gamma model is optimal for every positive
     parameter (weights proportional to beta_i^(2k/(k+1)), independent of the
     scales a); the log-link Poisson model on the binary hypercube with unit
-    scales reduces to a two-smallest-rates test.  Otherwise the pointwise
-    condition is scanned over the supplied finite region.
+    scales reduces to a two-largest-rates test.  Otherwise the margin is the
+    equivalence theorem's over the supplied finite region (_kernel_margin).
     """
     k = parse_criterion_order(k)
     _require_kind(spec, (FIRST_ORDER_NO_INTERCEPT,), "the axis design")
@@ -576,8 +571,16 @@ def axis_design(
         and bool((a == 1.0).all())
         and (region is None or (isinstance(region, BinaryHypercube) and region.nu == spec.nu))
     ):
+        # at a corner whose ones carry the rates r_S, d(x)/bound is the sum of
+        # the products of all of r_S but one; once the two largest rates sum
+        # to at most 1, no corner exceeds that pair, so the pair decides
         rates = np.sort(np.exp(np.asarray(spec.beta)))
-        margin = 1.0 - float(rates[0] + rates[1])
+        with np.errstate(over="ignore"):
+            margin = 1.0 - float(rates[-1] + rates[-2])
+        if not math.isfinite(margin):
+            raise DomainError(
+                f"the axis-Poisson condition leaves the double range at beta={spec.beta!r}"
+            )
         return _result(design, "axis-poisson", margin)
 
     if region is None:
@@ -585,11 +588,12 @@ def axis_design(
     cand = region_points(region)
     if cand.shape[1] != spec.nu:
         raise ValueError("region dimension does not match the model")
-    u_sup = intensity_many(spec, pts)
-    u_cand = intensity_many(spec, cand)
-    lhs = u_cand * ((cand * cand) @ (1.0 / (a * a * u_sup)))
-    margin = float((1.0 - lhs).min())
-    return _result(design, "axis-general", margin)
+    if math.isinf(k):
+        # on these weights d(x)/bound = u(x) sum_i x_i^2 / (a_i^2 u_i) at
+        # every finite k: k = inf reports that limit, taken at k = 0
+        equal = Design.from_arrays(pts, phik_axis_weights(spec, a, 0.0))
+        return _result(design, "axis-general", _kernel_margin(equal, spec, 0.0, cand))
+    return _result(design, "axis-general", _kernel_margin(design, spec, k, cand))
 
 
 def _even_a_upper_layer_mass(nu: int) -> float:
@@ -645,7 +649,7 @@ def hypercube_linear_design(nu: int, criterion: str) -> Design:
 
 # ---------------------------------------------------------------------------
 # The catalogue a construct job dispatches through.  Each builder is called as
-# build(spec, criterion, region=..., a=..., grid=...) and names its
+# build(spec, criterion, region=..., a=...) and names its
 # constructor at call time, so rebinding a module-level name reaches it.
 
 
@@ -654,9 +658,8 @@ def _two_point(spec, crit, region, **_):
     return _result(binary_two_point_design(spec, a, b, crit), f"{crit}-2pt", 0.0)
 
 
-def _interval(spec, crit, grid, **_):
-    # the first grid entry, if any, is the grid_n of the convexity check
-    return interval_boundary_design(spec, crit, *grid[:1])
+def _interval(spec, crit, **_):
+    return interval_boundary_design(spec, crit)
 
 
 def _two_factor(spec, crit, **_):

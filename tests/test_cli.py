@@ -198,7 +198,7 @@ def test_scan_without_out_is_schema_error(tmp_path):
         lambda c: c.update(tolerance=float("inf")),
         lambda c: c["model"].update(beta=[0, 10**400, 0]),  # no double holds it
         lambda c: c.update(a=["x"]),  # checked on every construct job
-        lambda c: c.update(INTERVAL, grid=[1]),  # a convexity check needs 2 nodes
+        lambda c: c.update(INTERVAL, grid=[1]),  # removed field: the convexity grid is fixed
         lambda c: c.update(INTERVAL, grid=[-5]),
     ],
 )
@@ -282,15 +282,12 @@ INTERVAL = {
 }
 
 
-@pytest.mark.parametrize("grid", [[float("inf")], [float("nan")], [2.9]])
-def test_grid_entries_must_be_finite_integers(tmp_path, grid):
-    code, out = run_cli(tmp_path, INTERVAL | {"grid": grid})
+def test_grid_field_is_rejected(tmp_path):
+    # the interval constructor checks its condition on a fixed grid; a job
+    # that still sets one is refused, as one that sets the removed seed is
+    code, out = run_cli(tmp_path, INTERVAL | {"grid": [999]})
     assert code == EXIT_SCHEMA
-    assert json.loads(out) == {"error": "schema", "message": "grid must contain finite integers only"}
-
-
-def test_integral_float_grid_is_accepted(tmp_path):
-    assert run_cli(tmp_path, INTERVAL | {"grid": [50.0]}) == run_cli(tmp_path, INTERVAL | {"grid": [50]})
+    assert json.loads(out) == {"error": "schema", "message": "unexpected configuration fields ['grid']"}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -309,7 +306,7 @@ def test_non_finite_result_is_model_error(tmp_path):
 def test_non_finite_number_in_output_is_model_error(tmp_path, monkeypatch):
     # a non-finite number that reaches the output is refused, because strict
     # JSON cannot carry it
-    def infinite_margin(spec, crit, grid_n=999):
+    def infinite_margin(spec, crit):
         design = glmdesign.Design.from_arrays([(0.0,), (1.0,)], [0.5, 0.5])
         return glmdesign.ConstructResult(design, "D-boundary", False, -np.inf)
 

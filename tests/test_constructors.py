@@ -6,6 +6,7 @@ exhaustive grid search. Frozen numbers were produced by the iterative oracle
 run at tolerances far below the assertion tolerances.
 """
 
+import itertools
 import math
 import warnings
 
@@ -406,6 +407,30 @@ def test_interval_boundary_overflowing_curvature_is_domain_error(slope, crit):
             g.interval_boundary_design(spec, crit)
 
 
+def test_interval_condition_is_sufficient():
+    # condition_ok => certified on a fine grid; the converse fails, since
+    # the convexity condition on q = 1/u is only sufficient
+    rng = np.random.default_rng(7)
+    grid = g.GridBox((0.0,), (1.0,), (2001,))
+    for family in (g.logistic, g.probit, g.poisson_log):
+        for crit, k in (("D", 0.0), ("A", 1.0)):
+            certified_anyway = 0
+            for _ in range(300):
+                beta = tuple(rng.uniform(-6.0, 6.0, 2))
+                spec = g.ModelSpec(family, g.single_factor_intercept(), beta)
+                r = g.interval_boundary_design(spec, crit)
+                try:
+                    passed = g.verify_design(r.design, spec, k, grid).passed
+                except g.SingularMatrixError:
+                    # steep probit: the endpoint intensities are too far apart
+                    # for a double information matrix, and the condition fails
+                    assert not r.condition_ok, (family.name, crit, beta)
+                    continue
+                assert passed or not r.condition_ok, (family.name, crit, beta)
+                certified_anyway += passed and not r.condition_ok
+            assert certified_anyway > 0, (family.name, crit)
+
+
 # ------------------------------------------------------------- two factors
 
 
@@ -694,6 +719,58 @@ def test_corner_condition_decides_certification():
                     assert r.condition_ok == rep.passed, (family.name, crit, beta)
 
 
+def corner_margin_reference(spec, crit):
+    """The paper's corner inequality for the origin-plus-axes design: with
+    s the number of ones of a corner x, D holds where
+    u(x) ((1 - s)^2 / u_0 + sum_{i: x_i = 1} 1 / u_i) <= 1, and A, with
+    q_i = 1 / sqrt(u_i), where u(x) (q_0^2 (1 - s)^2 + sum q_i^2
+    + 2 q_0 (s - 1) sum q_i / sqrt(nu + 1)) <= 1, the sums over the ones of
+    x.  Returns min over the corners of 1 - u(x) lhs(x)."""
+    nu = spec.nu
+    support = np.vstack([np.zeros(nu), np.eye(nu)])
+    u_sup = g.intensity_many(spec, support)
+    corners = np.asarray(list(itertools.product((0.0, 1.0), repeat=nu)))
+    u_cor = g.intensity_many(spec, corners)
+    s = corners.sum(axis=1)
+    if crit == "D":
+        lhs = (1.0 - s) ** 2 / u_sup[0] + corners @ (1.0 / u_sup[1:])
+    else:
+        qs = 1.0 / np.sqrt(u_sup)
+        lhs = (
+            qs[0] ** 2 * (1.0 - s) ** 2
+            + corners @ (qs[1:] ** 2)
+            + (2.0 * qs[0] / math.sqrt(nu + 1.0)) * (s - 1.0) * (corners @ qs[1:])
+        )
+    return float((1.0 - u_cor * lhs).min())
+
+
+def assert_margins_agree(margin, reference):
+    assert abs(margin - reference) <= 1e-12 * max(1.0, abs(reference)), (margin, reference)
+
+
+def test_corner_margin_matches_paper_inequality():
+    # the constructor's margin comes from the equivalence-theorem kernel;
+    # the paper's inequality must give the same number
+    rng = np.random.default_rng(21)
+    for family in (g.probit, g.logistic, g.poisson_log):
+        for crit in ("D", "A"):
+            for nu in (2, 3, 4):
+                for _ in range(50):
+                    beta = (rng.uniform(-2.0, 2.0), *rng.uniform(-5.0, 1.0, nu))
+                    spec = g.ModelSpec(family, g.first_order_intercept(nu), beta)
+                    r = g.corner_design_multifactor(spec, crit)
+                    assert_margins_agree(r.condition_margin, corner_margin_reference(spec, crit))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("crit", ["D", "A"])
+def test_corner_extreme_eta_is_typed_error(crit):
+    # u at the first axis corner is subnormal: a typed error, never a NaN margin
+    spec = g.ModelSpec(g.logistic, g.first_order_intercept(2), (0.0, -720.0, 3.0))
+    with pytest.raises((g.SingularMatrixError, g.DomainError, g.CriterionOverflowError)):
+        g.corner_design_multifactor(spec, crit)
+
+
 # ------------------------------------------------------------ axis designs
 
 
@@ -746,6 +823,72 @@ def test_axis_design_general_scan_path():
     bad = g.axis_design(spec, (1.0, 1.0), 0.0, region=g.BinaryHypercube(2))
     assert not bad.condition_ok
     assert bad.condition_margin < 0.0
+
+
+def axis_margin_reference(spec, a, cand):
+    """The paper's condition for the axis design on its order-k weights:
+    u(x) sum_i x_i^2 / (a_i^2 u(a_i e_i)) <= 1, the same at every k.
+    Returns min over the candidates of 1 - lhs(x)."""
+    a = np.asarray(a, dtype=float)
+    u_sup = g.intensity_many(spec, np.diag(a))
+    lhs = g.intensity_many(spec, cand) * ((cand * cand) @ (1.0 / (a * a * u_sup)))
+    return float((1.0 - lhs).min())
+
+
+def test_axis_general_margin_matches_paper_inequality():
+    rng = np.random.default_rng(22)
+    for family in (g.logistic, g.probit, g.poisson_log):
+        for k in (0.0, 0.5, 1.0, 3.0):
+            for nu in (2, 3):
+                for _ in range(25):
+                    spec = g.ModelSpec(
+                        family, g.first_order_no_intercept(nu), tuple(rng.uniform(-2.0, 2.0, nu))
+                    )
+                    a = tuple(rng.uniform(0.3, 2.0, nu))
+                    region = g.GridBox((0.0,) * nu, tuple(2.0 * np.asarray(a)), (5,) * nu)
+                    r = g.axis_design(spec, a, k, region=region)
+                    assert r.case_label == "axis-general"
+                    reference = axis_margin_reference(spec, a, g.region_points(region))
+                    assert_margins_agree(r.condition_margin, reference)
+
+
+def test_axis_general_infinite_k_reports_the_k_free_margin():
+    spec = g.ModelSpec(g.logistic, g.first_order_no_intercept(2), (1.0, -0.5))
+    region = g.GridBox((0.0, 0.0), (2.0, 2.0), (9, 9))
+    r = g.axis_design(spec, (1.0, 1.5), math.inf, region=region)
+    reference = axis_margin_reference(spec, (1.0, 1.5), g.region_points(region))
+    assert_margins_agree(r.condition_margin, reference)
+    assert r.condition_margin == g.axis_design(spec, (1.0, 1.5), 0.0, region).condition_margin
+
+
+def test_axis_poisson_condition_decides_certification():
+    # the two largest rates decide: (-3, -3, 0) has rates 0.05, 0.05, 1,
+    # and fails at (0, 1, 1) by about 0.0498 of the bound
+    spec = g.ModelSpec(g.poisson_log, g.first_order_no_intercept(3), (-3.0, -3.0, 0.0))
+    r = g.axis_design(spec, (1.0, 1.0, 1.0), 1.0)
+    assert not r.condition_ok
+    np.testing.assert_allclose(r.condition_margin, -math.exp(-3.0), rtol=1e-12)
+    rep = g.verify_design(r.design, spec, 1.0, g.BinaryHypercube(3))
+    assert not rep.passed and rep.worst_point == (0.0, 1.0, 1.0)
+
+    rng = np.random.default_rng(23)
+    for nu in (2, 3, 4, 5):
+        for k in (0.0, 1.0, 2.0):
+            for _ in range(40):
+                beta = tuple(np.log(rng.uniform(0.02, 0.9, nu)))
+                spec = g.ModelSpec(g.poisson_log, g.first_order_no_intercept(nu), beta)
+                r = g.axis_design(spec, (1.0,) * nu, k)
+                assert r.case_label == "axis-poisson"
+                rep = g.verify_design(r.design, spec, k, g.BinaryHypercube(nu))
+                assert r.condition_ok == rep.passed, (nu, k, beta)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_axis_poisson_overflowing_margin_is_domain_error():
+    # each rate e^709.7 is finite, their sum is not
+    spec = g.ModelSpec(g.poisson_log, g.first_order_no_intercept(2), (709.7, 709.7))
+    with pytest.raises(g.DomainError, match=r"beta=\(709\.7, 709\.7\)"):
+        g.axis_design(spec, (1.0, 1.0), 1.0)
 
 
 # ------------------------------------------------- hypercube linear layers
