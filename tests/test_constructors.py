@@ -422,8 +422,8 @@ def test_interval_condition_is_sufficient():
                 try:
                     passed = g.verify_design(r.design, spec, k, grid).passed
                 except g.SingularMatrixError:
-                    # steep probit: the endpoint intensities are too far apart
-                    # for a double information matrix, and the condition fails
+                    # steep probit: the endpoint intensities lie more than the
+                    # singularity gate's 1e10 apart; the condition fails there
                     assert not r.condition_ok, (family.name, crit, beta)
                     continue
                 assert passed or not r.condition_ok, (family.name, crit, beta)
