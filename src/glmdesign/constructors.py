@@ -37,7 +37,9 @@ from .models import (
     FIRST_ORDER_NO_INTERCEPT,
     SINGLE_FACTOR_INTERCEPT,
     ModelSpec,
+    gamma_inverse,
     intensity_many,
+    poisson_log,
     regression_matrix,
 )
 
@@ -556,7 +558,7 @@ def axis_design(
         raise ValueError("axis scales must be a positive vector of length nu")
     pts = np.diag(a)
 
-    if spec.family.name == "gamma_inverse":
+    if spec.family is gamma_inverse:
         beta = np.asarray(spec.beta)
         expo = 2.0 if math.isinf(k) else 2.0 * k / (k + 1.0)
         w = beta ** expo
@@ -567,7 +569,7 @@ def axis_design(
     design = Design.from_arrays(pts, w)
 
     if (
-        spec.family.name == "poisson_log"
+        spec.family is poisson_log
         and bool((a == 1.0).all())
         and (region is None or (isinstance(region, BinaryHypercube) and region.nu == spec.nu))
     ):

@@ -380,8 +380,7 @@ def _row_blocks(n: int) -> list[slice]:
     a single row through gemv, which rounds differently from gemm for p >= 4.
     """
     m = -(-n // ROW_BLOCK)
-    edges = [n * i // m for i in range(m + 1)]
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+    return [slice(n * i // m, n * (i + 1) // m) for i in range(m)]
 
 
 class _EigenState:
@@ -413,17 +412,22 @@ class _EigenState:
         self.B = self.Q * lam ** (-(k + 1.0) / 2.0)
         self.bound = float((lam ** -k).sum())
 
-    def scores(self, F: np.ndarray, u=1.0) -> np.ndarray:
-        """Sensitivities u ||B^T f||^2 of the rows f of F, ROW_BLOCK rows at a time."""
-        if F.shape[0] > ROW_BLOCK:
-            u = np.broadcast_to(u, F.shape[:1])
-            sens = np.empty(F.shape[0])
-            for b in _row_blocks(F.shape[0]):
-                sens[b] = self.scores(F[b], u[b])
-            return sens
-        with np.errstate(over="ignore", invalid="ignore"):
-            FB = F @ self.B
-            sens = u * np.einsum("ij,ij->i", FB, FB)
+    def _rows(self, X: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """A block's rows f and intensities u; these inputs are sqrt(u) f already."""
+        return X, 1.0
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """Sensitivities u ||B^T f||^2 of the inputs X, ROW_BLOCK rows at a time.
+
+        The first block whose _rows raises decides the error; overflow is
+        tested once every block has run.
+        """
+        sens = np.empty(X.shape[0])
+        for b in _row_blocks(X.shape[0]):
+            F, u = self._rows(X[b])
+            with np.errstate(over="ignore", invalid="ignore"):
+                FB = F @ self.B
+                sens[b] = u * np.einsum("ij,ij->i", FB, FB)
         if not np.isfinite(sens).all():
             raise CriterionOverflowError(
                 f"sensitivity overflows at order k={self.k!r} on some candidate point"

@@ -28,7 +28,7 @@ from .designs import (
     region_label,
     region_points,
 )
-from .models import ModelSpec, intensity_many, regression_matrix
+from .models import ModelSpec, _as_points, intensity_many, regression_matrix
 
 DEFAULT_TOLERANCE = 1e-7
 
@@ -79,16 +79,11 @@ class _SensitivityKernel(_EigenState):
         super().__init__(_scaled_rows(spec, design.point_array), design.weight_array, k)
         self.spec = spec
 
-    def many(self, pts: np.ndarray) -> np.ndarray:
-        if pts.shape[0] > designs.ROW_BLOCK:
-            sens = np.empty(pts.shape[0])
-            try:
-                for b in _row_blocks(pts.shape[0]):
-                    sens[b] = self.many(pts[b])
-                return sens
-            except Exception:
-                pass  # one pass over all rows raises the error, and names the point, it always did
-        return self.scores(regression_matrix(self.spec, pts), intensity_many(self.spec, pts))
+    def _rows(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return regression_matrix(self.spec, pts), intensity_many(self.spec, pts)
+
+    def many(self, pts) -> np.ndarray:
+        return self.scores(_as_points(self.spec, pts))
 
 
 def sensitivity_at(design: Design, spec: ModelSpec, k: float, x) -> float:

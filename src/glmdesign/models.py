@@ -115,20 +115,17 @@ BUILTIN_FAMILIES: dict[str, LinkFamily] = {
 }
 
 
-def custom_family(name, intensity, domain=None, d2_inverse_intensity=None):
+def custom_family(name, intensity, domain=None):
     """Wrap scalar callables into a LinkFamily usable by every operation.
 
-    ``intensity`` and the optional predicates take a single float; they are
-    vectorized here so batch evaluation works uniformly.
+    ``intensity`` and the optional domain predicate take a single float;
+    they are vectorized here so batch evaluation works uniformly.  The
+    interval construction takes its q'' = (1/u)'' by central differences,
+    and no builtin family's fast path applies, whatever the name.
     """
     u_vec = np.vectorize(intensity, otypes=[float])
     dom_vec = None if domain is None else np.vectorize(domain, otypes=[bool])
-    d2_vec = (
-        None
-        if d2_inverse_intensity is None
-        else np.vectorize(d2_inverse_intensity, otypes=[float])
-    )
-    return LinkFamily(name, u_vec, dom_vec, d2_vec)
+    return LinkFamily(name, u_vec, dom_vec)
 
 
 SINGLE_FACTOR_INTERCEPT = "single_factor_intercept"
@@ -198,7 +195,7 @@ class ModelSpec:
             )
         if not all(math.isfinite(b) for b in beta):
             raise ValueError("beta must be finite")
-        if self.family.name == "gamma_inverse" and not self.kind.intercept:
+        if self.family is gamma_inverse and not self.kind.intercept:
             if any(b <= 0.0 for b in beta):
                 raise DomainError(
                     "gamma_inverse without intercept requires strictly positive beta"

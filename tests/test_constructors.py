@@ -395,6 +395,33 @@ def test_interval_boundary_other_families():
     assert repg.passed
 
 
+def _logistic_scalar(eta):
+    e = math.exp(-abs(eta))
+    return e / (1.0 + e) ** 2
+
+
+def test_interval_custom_family_takes_finite_difference_curvature():
+    # a custom family has no analytic q'' and takes central differences;
+    # the margin q(0) + q(1) - q''/2 (D) loses its digits relative to the
+    # terms q(0) + q(1), not to itself, so that is the scale of the slack
+    made = g.custom_family("logistic_again", _logistic_scalar)
+    rng = np.random.default_rng(24)
+    for _ in range(100):
+        beta = tuple(rng.uniform(-6.0, 6.0, 2))
+        spec = g.ModelSpec(g.logistic, g.single_factor_intercept(), beta)
+        scale = float((1.0 / g.intensity_many(spec, [[0.0], [1.0]])).sum())
+        for crit in ("D", "A"):
+            ref = g.interval_boundary_design(spec, crit)
+            r = g.interval_boundary_design(
+                g.ModelSpec(made, g.single_factor_intercept(), beta), crit
+            )
+            np.testing.assert_allclose(
+                r.condition_margin, ref.condition_margin, rtol=1e-5, atol=1e-6 * scale
+            )
+            assert r.condition_ok == ref.condition_ok, (beta, crit)
+            np.testing.assert_allclose(r.design.weights, ref.design.weights, rtol=1e-13)
+
+
 @pytest.mark.parametrize("slope", [700.0, 705.0])
 @pytest.mark.parametrize("crit", ["D", "A"])
 def test_interval_boundary_overflowing_curvature_is_domain_error(slope, crit):
@@ -881,6 +908,30 @@ def test_axis_poisson_condition_decides_certification():
                 assert r.case_label == "axis-poisson"
                 rep = g.verify_design(r.design, spec, k, g.BinaryHypercube(nu))
                 assert r.condition_ok == rep.passed, (nu, k, beta)
+
+
+@pytest.mark.parametrize(
+    "name, intensity, beta, k",
+    [
+        # the Poisson intensity under gamma's name: gamma's rule certified
+        # (0.5, 2.0) with margin 0, and ModelSpec rejected (-0.5, 2.0)
+        ("gamma_inverse", math.exp, (0.5, 2.0), 0.0),
+        ("gamma_inverse", math.exp, (-0.5, 2.0), 0.0),
+        # the logistic intensity under Poisson's name: the two-largest-rates
+        # rule would certify, the design fails at (1, 1)
+        ("poisson_log", _logistic_scalar, (-1.0, -1.0), 1.0),
+    ],
+)
+def test_axis_custom_family_with_builtin_name_takes_general_path(name, intensity, beta, k):
+    spec = g.ModelSpec(g.custom_family(name, intensity), g.first_order_no_intercept(2), beta)
+    region = g.BinaryHypercube(2)
+    r = g.axis_design(spec, (1.0, 1.0), k, region)
+    assert r.case_label == "axis-general"
+    rep = g.verify_design(r.design, spec, k, region)
+    assert not rep.passed and not r.condition_ok
+    np.testing.assert_allclose(r.condition_margin, -rep.worst_gap / rep.bound, rtol=1e-12)
+    with pytest.raises(ValueError, match="needs a finite region"):
+        g.axis_design(spec, (1.0, 1.0), k)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

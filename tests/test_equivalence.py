@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
-from glmdesign import designs
+from glmdesign import designs, equivalence
 from glmdesign.designs import _EigenState
 from glmdesign.equivalence import _SensitivityKernel
 from glmdesign.errors import CriterionOverflowError, DomainError, SingularMatrixError
@@ -353,6 +353,25 @@ def test_block_errors_match_one_pass(monkeypatch, spec, design, pts, error):
     monkeypatch.setattr(designs, "ROW_BLOCK", BLOCK)
     assert [_error_text(call) for call in calls] == whole
     assert all(kind is error for kind, _ in whole)
+
+
+def test_no_block_evaluates_more_than_row_block_rows(monkeypatch):
+    # an out-of-domain point in the last block fails every block loop
+    # without evaluating the whole input at once
+    seen = []
+
+    def recording(spec, pts):
+        seen.append(len(pts))
+        return g.intensity_many(spec, pts)
+
+    monkeypatch.setattr(designs, "ROW_BLOCK", BLOCK)
+    monkeypatch.setattr(equivalence, "intensity_many", recording)
+    region = g.FiniteSet(tuple((0.1 * i,) for i in range(5 * BLOCK)) + ((2.5,),))
+    for call in (g.verify_design, g.sensitivity_scan):
+        seen.clear()
+        with pytest.raises(DomainError, match=r"point \(2\.5,\)"):
+            call(GAMMA_DESIGN, GAMMA, 1.0, region)
+        assert len(seen) == 6 and max(seen) <= BLOCK, seen
 
 
 # ------------------------------------------------------------ scan tables
