@@ -74,8 +74,10 @@ def _poisson_u(eta):
 
 
 def _gamma_u(eta):
+    # eta**-2 overflows to inf for 0 < eta < ~1e-154 and divides by zero at 0;
+    # intensity_many turns either into a DomainError naming the point
     eta = np.asarray(eta, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return eta ** -2.0
 
 

@@ -46,7 +46,8 @@ CURVATURE_RCOND = 1e-12
 
 _BRUTE_FORCE_CAP = 30_000_000
 
-# brute_force_weights enumerates weightings in blocks of about this many rows.
+# brute_force_weights gathers runs of first counts whose table suffixes hold
+# at most this many rows together into one block; a longer suffix is a block.
 _COMPOSITION_BLOCK = 16_384
 
 # Criterion values within this relative distance of the minimum tie; adjacent
@@ -298,40 +299,73 @@ def optimize_design(
                               iterations=iterations)
 
 
-def _composition_blocks(total: int, parts: int):
-    """Yield the weight-count vectors summing to ``total`` in lexicographic
-    order, in blocks of consecutive values of the first count.
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All weight-count vectors summing to ``total`` in lexicographic order,
+    one column per part, each column contiguous.
 
-    A block holds at most _COMPOSITION_BLOCK rows unless a single first count
-    has more.  Each block is built by ``parts - 2`` vectorised expansions:
-    a row with ``rest`` left to place becomes ``rest + 1`` rows, one per value
-    of the next count.
+    Built by ``parts - 1`` vectorised expansions: a row with ``rest`` left to
+    place becomes ``rest + 1`` rows, one per value of the next count.
+    """
+    cols: list[np.ndarray] = []
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        lengths = rest + 1
+        row = np.repeat(np.arange(rest.size), lengths)
+        nxt = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        cols = [c[row] for c in cols] + [nxt]
+        rest = rest[row] - nxt
+    return np.array(cols + [rest]).T
+
+
+def _weight_blocks(total: int, parts: int):
+    """Yield the simplex-grid weightings n / total, sum n = total, in
+    lexicographic order of the counts n, as blocks of ``parts`` weight columns.
+
+    The compositions whose first count is a are the rows of the table
+    ``_compositions(total, parts - 1)`` whose first entry is at least a, with a
+    subtracted from that entry: a suffix of the table.  A block of one first
+    count is that suffix's views, with the scalar first weight a / total; runs
+    of first counts whose suffixes hold at most _COMPOSITION_BLOCK rows
+    together are gathered into one block.  Every weight is a count divided by
+    ``total`` once, so it is the same double as ``n / total``.
     """
     if parts == 1:
-        yield np.full((1, 1), total, dtype=np.int64)
+        yield [np.ones(1)]
         return
-    sizes = [math.comb(total - c + parts - 2, parts - 2) for c in range(total + 1)]
+    table = _compositions(total, parts - 1)
+    first = table[:, 0]
+    rest = [table[:, j] / total for j in range(1, parts - 1)]
+    n = first.size
+    # rows with first count a: the compositions of total - a into parts - 1
+    sizes = [math.comb(total - a + parts - 2, parts - 2) for a in range(total + 1)]
     start = 0
     while start <= total:
         stop, rows = start + 1, sizes[start]
         while stop <= total and rows + sizes[stop] <= _COMPOSITION_BLOCK:
             rows += sizes[stop]
             stop += 1
-        counts = np.arange(start, stop, dtype=np.int64)[:, None]
-        rest = total - counts[:, 0]
-        for _ in range(parts - 2):
-            lengths = rest + 1
-            row = np.repeat(np.arange(rest.size), lengths)
-            nxt = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            counts = np.column_stack([counts[row], nxt])
-            rest = rest[row] - nxt
-        yield np.column_stack([counts, rest])
+        if stop == start + 1:
+            s = n - rows
+            yield [start / total, (first[s:] - start) / total] + [c[s:] for c in rest]
+        else:
+            lengths = np.array(sizes[start:stop])
+            a = np.repeat(np.arange(start, stop), lengths)
+            # row t of the run is table row t - (run rows before its a) + n - sizes[a]
+            idx = np.arange(rows) + np.repeat(n - np.cumsum(lengths), lengths)
+            yield [a / total, (first[idx] - a) / total] + [c[idx] for c in rest]
         start = stop
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """All weight-count vectors summing to ``total`` in lexicographic order."""
-    return np.concatenate(list(_composition_blocks(total, parts)))
+def _cauchy_binet(w: list, T: np.ndarray, c: np.ndarray):
+    """sum_T c_T prod_{i in T} w_i over the weight columns w, term by term;
+    a scalar first weight folds into c_T before any column is touched."""
+    total = 0.0
+    for c_T, subset in zip(c.tolist(), T.tolist()):
+        term = c_T
+        for i in subset:
+            term *= w[i]
+        total += term
+    return total
 
 
 def brute_force_weights(
@@ -341,10 +375,13 @@ def brute_force_weights(
 
     An assumption-free check of the closed-form and iterative routes on
     supports of up to five points.  The weightings w = n / grid_resolution
-    are enumerated block by block in lexicographic order of the counts n.
-    D (k = 0) and A (k = 1) factor no matrix per weighting: with G = sqrt(u) f,
-    Cauchy-Binet gives the elementary symmetric polynomials e_m of the
-    eigenvalues of M(w) as sums of weight products (``_symmetric_terms``), and
+    are walked in lexicographic order of the counts n over one table, the
+    (r - 1)-part compositions of grid_resolution (``_weight_blocks``): the
+    weightings with first count a are a suffix of it, so a block is a few
+    weight columns, not an array of counts.  D (k = 0) and A (k = 1) factor
+    no matrix per weighting: with G = sqrt(u) f, Cauchy-Binet gives the
+    elementary symmetric polynomials e_m of the eigenvalues of M(w) as sums
+    of weight products (``_symmetric_terms``), summed column by column, and
     Phi_0 = e_p^(-1/p), Phi_1 = e_(p-1) / (p e_p).  Other orders take the
     eigenvalues of each M(w) and skip weightings past the singularity gate.
 
@@ -368,23 +405,26 @@ def brute_force_weights(
 
     G = _scaled_rows(spec, pts)
     p = spec.p
+    if p > r:
+        # every M(w) has rank at most r < p
+        raise SingularMatrixError("no nonsingular weighting exists on this support")
     if k in (0.0, 1.0):
         (T_p, c_p), (T_q, c_q) = _symmetric_terms(G, p), _symmetric_terms(G, p - 1)
     else:
         outer_prods = np.einsum("ri,rj->rij", G, G)
 
-    near = []  # (value, counts) within _TIE_RTOL of its block's minimum, in order
-    for counts in _composition_blocks(g, r):
-        W = counts / g
+    near = []  # (value, weights) within _TIE_RTOL of its block's minimum, in order
+    for w in _weight_blocks(g, r):
         if k in (0.0, 1.0):
-            e_p = W[:, T_p].prod(axis=2) @ c_p
+            e_p = _cauchy_binet(w, T_p, c_p)
             with np.errstate(divide="ignore", invalid="ignore"):
                 if k == 0.0:
                     values = e_p ** (-1.0 / p)
                 else:
-                    values = W[:, T_q].prod(axis=2) @ c_q / (p * e_p)
+                    values = _cauchy_binet(w, T_q, c_q) / (p * e_p)
             values[e_p <= 0.0] = math.inf
         else:
+            W = np.column_stack(np.broadcast_arrays(*w))
             lam = np.linalg.eigvalsh(np.einsum("nr,rij->nij", W, outer_prods))
             valid = _nonsingular(lam)
             lam_safe = np.where(valid[:, None], lam, 1.0)
@@ -392,10 +432,11 @@ def brute_force_weights(
         low = float(values.min())
         if math.isfinite(low):
             i = np.flatnonzero(values <= low * (1.0 + _TIE_RTOL))
-            near += zip(values[i].tolist(), counts[i])
+            rows = np.column_stack([np.broadcast_to(col, values.shape)[i] for col in w])
+            near += zip(values[i].tolist(), rows)
     if near:
         low = min(v for v, _ in near)
-        best_w = next(c for v, c in near if v <= low * (1.0 + _TIE_RTOL)) / g
+        best_w = next(w for v, w in near if v <= low * (1.0 + _TIE_RTOL))
     if not near or not _nonsingular(np.linalg.eigvalsh((G * best_w[:, None]).T @ G)):
         raise SingularMatrixError("no nonsingular weighting exists on this support")
     keep = best_w > 0.0

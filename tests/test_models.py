@@ -147,6 +147,17 @@ def test_poisson_overflow_fails_typed_naming_the_point():
         )
 
 
+@pytest.mark.filterwarnings("error")
+def test_gamma_tiny_predictor_fails_typed_naming_the_point():
+    # eta = 1e-170 is in the domain, but eta**-2 overflows; the caller gets
+    # the DomainError, not a RuntimeWarning
+    spec = g.ModelSpec(g.gamma_inverse, g.single_factor_intercept(), (0.0, -1.0))
+    region = g.FiniteSet(((-1.0,), (-1e-170,)))
+    design = g.Design(((-2.0,), (-1.0,)), (0.5, 0.5))
+    with pytest.raises(DomainError, match=r"at point \(-1e-170,\)$"):
+        g.verify_design(design, spec, 0.0, region)
+
+
 def test_unit_information_pinned():
     spec = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 1.0))
     u = math.exp(1.0) / (1.0 + math.exp(1.0)) ** 2

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
-from glmdesign.designs import _scaled_rows, _symmetric_terms
+from glmdesign import optimize
+from glmdesign.designs import (
+    _nonsingular,
+    _phi_from_eigenvalues,
+    _scaled_rows,
+    _symmetric_terms,
+)
 from glmdesign.errors import ConvergenceError
-from glmdesign.optimize import _compositions, _State
+from glmdesign.optimize import _compositions, _State, _weight_blocks
 
 TOL8 = g.OptimizerOptions(convergence_tol=1e-8)
 
@@ -273,6 +280,10 @@ def test_brute_force_one_parameter_takes_the_best_point(k):
 
 COLLINEAR_POISSON = g.ModelSpec(g.poisson_log, g.first_order_intercept(2), (0.1, 0.2, 0.3))
 
+# (b0, t, k, resolution): x1 <-> x2 maps Poisson (b0, t, t) on the square onto itself
+MIRROR_TIES = [(-0.5, -0.3, 0.0, 200), (0.0, -0.3, 0.0, 40), (0.0, 0.3, 0.0, 40),
+               (-0.5, -0.4, 1.0, 40), (0.0, -0.1, 1.0, 200), (0.5, 0.2, 1.0, 200)]
+
 
 @pytest.mark.parametrize("k", [0.0, 1.0])
 @pytest.mark.parametrize(
@@ -285,11 +296,7 @@ def test_brute_force_rejects_singular_support(support, k):
         g.brute_force_weights(COLLINEAR_POISSON, support, k, 20)
 
 
-@pytest.mark.parametrize(
-    "b0, t, k, resolution",
-    [(-0.5, -0.3, 0.0, 200), (0.0, -0.3, 0.0, 40), (0.0, 0.3, 0.0, 40),
-     (-0.5, -0.4, 1.0, 40), (0.0, -0.1, 1.0, 200), (0.5, 0.2, 1.0, 200)],
-)
+@pytest.mark.parametrize("b0, t, k, resolution", MIRROR_TIES)
 def test_brute_force_breaks_mirror_ties_lexicographically(b0, t, k, resolution):
     # x1 <-> x2 maps the model onto itself, so a weighting and its mirror tie;
     # the winner is the first of the two in enumeration order
@@ -337,14 +344,161 @@ def test_compositions_enumeration():
 )
 def test_compositions_blocks_match_bars_and_stars(total, parts):
     # stars and bars: each choice of parts - 1 bar slots among total + parts - 1,
-    # in itertools order, is one composition in lexicographic order; the last
-    # two cases span several blocks
+    # in itertools order, is one composition in lexicographic order
     slots = total + parts - 1
     want = [
         np.diff((-1, *bars, slots)) - 1
         for bars in itertools.combinations(range(slots), parts - 1)
     ]
     np.testing.assert_array_equal(_compositions(total, parts), want)
+
+
+@pytest.mark.parametrize("block", [optimize._COMPOSITION_BLOCK, 1, 7, 100])
+@pytest.mark.parametrize("total, parts", [(10, 1), (10, 2), (13, 3), (40, 4), (12, 5)])
+def test_weight_blocks_are_the_counts_over_total(monkeypatch, block, total, parts):
+    # suffix views and gathered runs of first counts alike give the doubles
+    # n / total, in lexicographic order of n
+    monkeypatch.setattr(optimize, "_COMPOSITION_BLOCK", block)
+    blocks = [np.column_stack(np.broadcast_arrays(*w)) for w in _weight_blocks(total, parts)]
+    assert all(b.shape[1] == parts for b in blocks)
+    want = _compositions(total, parts) / total
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
+
+
+def test_two_point_grid_is_one_block():
+    # one row per first count: without grouping this would be 10 001 blocks
+    (w,) = _weight_blocks(10_000, 2)
+    assert w[0].shape == w[1].shape == (10_001,)
+
+
+def test_brute_force_memory_is_a_few_table_columns():
+    # the (r - 1)-part table has 20 301 rows here, against 1 373 701 weightings
+    tracemalloc.start()
+    try:
+        g.brute_force_weights(POISSON_CORNERS, SQUARE, 1.0, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+def _count_blocks(total, parts):
+    """Integer weight counts in lexicographic order, in blocks of consecutive
+    first counts of at most 16 384 rows (more only when one first count has
+    more), each built by ragged repeat/arange expansions."""
+    if parts == 1:
+        yield np.full((1, 1), total, dtype=np.int64)
+        return
+    sizes = [math.comb(total - c + parts - 2, parts - 2) for c in range(total + 1)]
+    start = 0
+    while start <= total:
+        stop, rows = start + 1, sizes[start]
+        while stop <= total and rows + sizes[stop] <= 16_384:
+            rows += sizes[stop]
+            stop += 1
+        counts = np.arange(start, stop, dtype=np.int64)[:, None]
+        rest = total - counts[:, 0]
+        for _ in range(parts - 2):
+            lengths = rest + 1
+            row = np.repeat(np.arange(rest.size), lengths)
+            nxt = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            counts = np.column_stack([counts[row], nxt])
+            rest = rest[row] - nxt
+        yield np.column_stack([counts, rest])
+        start = stop
+
+
+def count_block_brute_force(spec, points, k, resolution):
+    """The count-block enumeration the suffix-table walk replaced: weights
+    counts / resolution, D and A as gathered products W[:, T].prod(axis=2) @ c,
+    other k through eigvalsh.  Same tie rule and final singularity gate."""
+    pts = np.asarray(points, dtype=float).reshape(len(points), -1)
+    G = _scaled_rows(spec, pts)
+    p, tie = spec.p, optimize._TIE_RTOL
+    if k in (0.0, 1.0):
+        (T_p, c_p), (T_q, c_q) = _symmetric_terms(G, p), _symmetric_terms(G, p - 1)
+    else:
+        outer_prods = np.einsum("ri,rj->rij", G, G)
+    near = []
+    for counts in _count_blocks(resolution, len(pts)):
+        W = counts / resolution
+        if k in (0.0, 1.0):
+            e_p = W[:, T_p].prod(axis=2) @ c_p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if k == 0.0:
+                    values = e_p ** (-1.0 / p)
+                else:
+                    values = W[:, T_q].prod(axis=2) @ c_q / (p * e_p)
+            values[e_p <= 0.0] = math.inf
+        else:
+            lam = np.linalg.eigvalsh(np.einsum("nr,rij->nij", W, outer_prods))
+            valid = _nonsingular(lam)
+            lam_safe = np.where(valid[:, None], lam, 1.0)
+            values = np.where(valid, _phi_from_eigenvalues(lam_safe, k), math.inf)
+        low = float(values.min())
+        if math.isfinite(low):
+            i = np.flatnonzero(values <= low * (1.0 + tie))
+            near += zip(values[i].tolist(), counts[i])
+    if near:
+        low = min(v for v, _ in near)
+        best_w = next(c for v, c in near if v <= low * (1.0 + tie)) / resolution
+    if not near or not _nonsingular(np.linalg.eigvalsh((G * best_w[:, None]).T @ G)):
+        raise g.SingularMatrixError("no nonsingular weighting exists on this support")
+    keep = best_w > 0.0
+    return g.Design.from_arrays(pts[keep], best_w[keep])
+
+
+def _outcome(search, spec, points, k, resolution):
+    try:
+        return search(spec, points, k, resolution)
+    except g.SingularMatrixError as err:
+        return type(err), str(err)
+
+
+def _reference_sweep(seed, n):
+    """Seeded (spec, points, k, resolution): r = 1-5 points, p = 1-4
+    parameters up to r + 1, k in {0, 0.5, 1, 2}, resolution drawn from
+    10-200 and halved until the grid holds at most 2e5 weightings (2e4 off
+    the Cauchy-Binet orders, which factor every M(w))."""
+    kinds = {1: [g.first_order_no_intercept(1)],
+             2: [g.single_factor_intercept(), g.first_order_no_intercept(2)],
+             3: [g.first_order_intercept(2), g.first_order_no_intercept(3)],
+             4: [g.first_order_intercept(3)]}
+    families = [g.logistic, g.poisson_log, g.probit]
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        r = int(rng.integers(1, 6))
+        p = int(rng.integers(1, min(4, r + 1) + 1))  # p = r + 1 is singular throughout
+        k = float(rng.choice([0.0, 0.5, 1.0, 2.0]))
+        kind = kinds[p][int(rng.integers(len(kinds[p])))]
+        spec = g.ModelSpec(families[int(rng.integers(3))], kind,
+                           tuple(rng.uniform(-1.0, 1.0, p).round(3)))
+        points = [tuple(x) for x in rng.uniform(-1.0, 1.0, (r, spec.nu)).round(2)]
+        resolution = int(rng.integers(10, 201))
+        limit = 200_000 if k in (0.0, 1.0) else 20_000
+        while resolution > 10 and math.comb(resolution + r - 1, r - 1) > limit:
+            resolution = max(10, resolution // 2)
+        yield spec, points, k, resolution
+
+
+@pytest.mark.parametrize("block", [optimize._COMPOSITION_BLOCK, 97])
+def test_suffix_walk_returns_the_count_block_design(monkeypatch, block):
+    # the same Design, points and weights exact, or the same error, on a
+    # seeded sweep, the mirror-tie pins and the collinear supports; a small
+    # block makes every grid mix suffix views with gathered runs
+    monkeypatch.setattr(optimize, "_COMPOSITION_BLOCK", block)
+    cases = list(_reference_sweep(2207, 120))
+    cases += [(g.ModelSpec(g.poisson_log, g.first_order_intercept(2), (b0, t, t)), SQUARE, k, res)
+              for b0, t, k, res in MIRROR_TIES]
+    cases += [(COLLINEAR_POISSON, support, k, 20)
+              for support in ([(0, 0), (1, 1), (2, 2)], [(0, 0), (1, 1), (2, 2), (3, 3)])
+              for k in (0.0, 0.5, 1.0, 2.0)]
+    errors = 0
+    for spec, points, k, res in cases:
+        want = _outcome(count_block_brute_force, spec, points, k, res)
+        assert _outcome(g.brute_force_weights, spec, points, k, res) == want, (spec, points, k, res)
+        errors += not isinstance(want, g.Design)
+    assert 8 <= errors < len(cases) // 2
 
 
 def test_brute_force_guard_rails():
