@@ -412,27 +412,52 @@ class _EigenState:
         self.B = self.Q * lam ** (-(k + 1.0) / 2.0)
         self.bound = float((lam ** -k).sum())
 
-    def _rows(self, X: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
-        """A block's rows f and intensities u; these inputs are sqrt(u) f already."""
-        return X, 1.0
+    def _rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """A block's rows f and intensities u; these inputs are sqrt(u) f
+        already, so there is no u to apply (None)."""
+        return X, None
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Sensitivities u ||B^T f||^2 of the inputs X, ROW_BLOCK rows at a time.
 
-        The first block whose _rows raises decides the error; overflow is
-        tested once every block has run.
+        Each block forms FB = F B, sums its squares into the block's slice of
+        the output (_squared_row_norms) and scales that slice by u in place,
+        so a block allocates only FB.  The first block whose _rows raises
+        decides the error; overflow is tested once every block has run.
         """
         sens = np.empty(X.shape[0])
         for b in _row_blocks(X.shape[0]):
             F, u = self._rows(X[b])
+            out = sens[b]
             with np.errstate(over="ignore", invalid="ignore"):
-                FB = F @ self.B
-                sens[b] = u * np.einsum("ij,ij->i", FB, FB)
-        if not np.isfinite(sens).all():
+                _squared_row_norms(F @ self.B, out)
+                if u is not None:
+                    out *= u
+        # sensitivities are never negative, and a NaN fails the comparison
+        if sens.size and not sens.max() < math.inf:
             raise CriterionOverflowError(
                 f"sensitivity overflows at order k={self.k!r} on some candidate point"
             )
         return sens
+
+
+def _squared_row_norms(FB: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the squared row norms of FB into out, overwriting FB.
+
+    The squares are summed in numpy's own einsum("ij,ij->i") order for
+    fewer than 8 columns: even columns and odd columns as two running sums,
+    kept in FB's first two columns, then the two added.  So the result is
+    that einsum's bit for bit, in a few passes over whole columns instead of
+    one short dot product per row, and nothing is allocated.
+    """
+    sq = np.multiply(FB, FB, out=FB).T
+    if sq.shape[0] == 1:
+        out[...] = sq[0]
+        return out
+    lanes = sq[0], sq[1]
+    for j in range(2, sq.shape[0]):
+        np.add(lanes[j % 2], sq[j], out=lanes[j % 2])
+    return np.add(*lanes, out=out)
 
 
 def _symmetric_terms(G: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:

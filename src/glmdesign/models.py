@@ -244,7 +244,10 @@ def regression_matrix(spec: ModelSpec, X) -> np.ndarray:
     """Rows f(x) for each point of ``X`` (shape (n, p))."""
     pts = _as_points(spec, X)
     if spec.kind.intercept:
-        return np.hstack([np.ones((pts.shape[0], 1)), pts])
+        F = np.empty((pts.shape[0], spec.p))
+        F[:, 0] = 1.0
+        F[:, 1:] = pts
+        return F
     return pts.copy()
 
 
@@ -253,10 +256,12 @@ def linear_predictor(spec: ModelSpec, x) -> float:
 
 
 def _eta_many(spec: ModelSpec, pts: np.ndarray) -> np.ndarray:
+    # np.dot takes BLAS where @ runs numpy's own loop on one column; the
+    # products and their sums are the same
     beta = np.asarray(spec.beta)
     if spec.kind.intercept:
-        return beta[0] + pts @ beta[1:]
-    return pts @ beta
+        return beta[0] + np.dot(pts, beta[1:])
+    return np.dot(pts, beta)
 
 
 def intensity_many(spec: ModelSpec, X) -> np.ndarray:
@@ -272,9 +277,9 @@ def intensity_many(spec: ModelSpec, X) -> np.ndarray:
                 f"outside the domain of family {spec.family.name!r}"
             )
     u = np.asarray(spec.family.intensity_of_eta(eta), dtype=float)
-    good = np.isfinite(u) & (u > 0.0)
-    if not good.all():
-        bad = pts[np.argmin(good)]
+    # NaN fails both comparisons; the mask is built only to name the point
+    if u.size and not (u.min() > 0.0 and u.max() < math.inf):
+        bad = pts[np.argmin(np.isfinite(u) & (u > 0.0))]
         raise DomainError(
             f"intensity of family {spec.family.name!r} is not finite and positive "
             f"at point {tuple(float(v) for v in bad)}"

@@ -336,19 +336,25 @@ def _weight_blocks(total: int, parts: int):
     first = table[:, 0]
     rest = [table[:, j] / total for j in range(1, parts - 1)]
     n = first.size
-    # rows with first count a: the compositions of total - a into parts - 1
-    sizes = [math.comb(total - a + parts - 2, parts - 2) for a in range(total + 1)]
+    # rows with first count a: the compositions of total - a into parts - 1,
+    # C(total - a + m, m) with m = parts - 2, each order the running sum of
+    # the one below (hockey stick); ends[a] = rows with first count below a
+    sizes = np.ones(total + 1, dtype=np.int64)
+    for _ in range(parts - 2):
+        sizes = np.cumsum(sizes)
+    sizes = sizes[::-1]
+    ends = np.concatenate(([0], np.cumsum(sizes)))
+    # fits[a]: the end of the longest run from a whose rows fit in one block
+    fits = np.searchsorted(ends, ends[:-1] + _COMPOSITION_BLOCK, "right") - 1
     start = 0
     while start <= total:
-        stop, rows = start + 1, sizes[start]
-        while stop <= total and rows + sizes[stop] <= _COMPOSITION_BLOCK:
-            rows += sizes[stop]
-            stop += 1
+        stop = max(start + 1, int(fits[start]))
+        rows = int(ends[stop] - ends[start])
         if stop == start + 1:
             s = n - rows
             yield [start / total, (first[s:] - start) / total] + [c[s:] for c in rest]
         else:
-            lengths = np.array(sizes[start:stop])
+            lengths = sizes[start:stop]
             a = np.repeat(np.arange(start, stop), lengths)
             # row t of the run is table row t - (run rows before its a) + n - sizes[a]
             idx = np.arange(rows) + np.repeat(n - np.cumsum(lengths), lengths)

@@ -304,6 +304,23 @@ def test_block_scores_match_one_pass(small_blocks, n, k):
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8192, 8193])
+@pytest.mark.parametrize("p", range(1, 8))
+def test_squared_row_norms_match_einsum(p, n):
+    # numpy's einsum sums 8 or more columns in another order
+    rng = np.random.default_rng(10_000 * p + n)
+    FB = rng.choice([-1.0, 1.0], (n, p)) * 10.0 ** rng.uniform(-8.0, 8.0, (n, p))
+    ref = np.einsum("ij,ij->i", FB, FB)
+    out = np.empty(n)
+    designs._squared_row_norms(FB, out)
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_scores_of_no_rows_are_empty():
+    state = _EigenState(np.eye(3), np.full(3, 1.0 / 3.0), 1.0)
+    assert state.scores(np.empty((0, 3))).shape == (0,)
+
+
 @pytest.mark.parametrize("k", [0.0, 1.0])
 def test_block_search_matches_one_pass(monkeypatch, k):
     region = g.GridBox((-2.0, -2.0), (2.0, 2.0), (9, 9))

@@ -5,6 +5,7 @@ from each family's mean function and variance, i.e. u = 1/(var(Y)*(deta/dmu)^2)
 assembled from first principles rather than from the shipped formulas.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import glmdesign as g
 from glmdesign.errors import DomainError
+from glmdesign.models import _eta_many
 
 FAMILIES = {
     "logistic": g.logistic,
@@ -115,6 +117,27 @@ def test_regression_vectors():
     np.testing.assert_array_equal(g.regression_vector(spec, [0.5]), [1.0, 0.5])
 
 
+def _spread(rng, shape):
+    """Entries of both signs with magnitudes spread over 10^-8 to 10^8."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8192, 8193])
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_batch_rows_and_predictors_match_matmul(nu, n):
+    # the batch forms give the bits of hstack and of @, contiguous or not
+    rng = np.random.default_rng(100 * nu + n)
+    beta = _spread(rng, nu + 1)
+    with_b0 = g.ModelSpec(g.logistic, g.first_order_intercept(nu), tuple(beta))
+    no_b0 = g.ModelSpec(g.logistic, g.first_order_no_intercept(nu), tuple(beta[1:]))
+    pts = _spread(rng, (n, nu))
+    for X in (pts, np.asfortranarray(pts), np.repeat(pts, 2, axis=0)[::2]):
+        assert _eta_many(with_b0, X).tobytes() == (beta[0] + X @ beta[1:]).tobytes()
+        assert _eta_many(no_b0, X).tobytes() == (X @ beta[1:]).tobytes()
+        rows = g.regression_matrix(with_b0, X)
+        assert rows.tobytes() == np.hstack([np.ones((n, 1)), X]).tobytes()
+
+
 def test_regression_vector_dimension_mismatch():
     spec = g.ModelSpec(g.logistic, g.first_order_intercept(2), (0.0, 1.0, 1.0))
     with pytest.raises(ValueError):
@@ -156,6 +179,36 @@ def test_gamma_tiny_predictor_fails_typed_naming_the_point():
     design = g.Design(((-2.0,), (-1.0,)), (0.5, 0.5))
     with pytest.raises(DomainError, match=r"at point \(-1e-170,\)$"):
         g.verify_design(design, spec, 0.0, region)
+
+
+BAD_INTENSITIES = {
+    "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "zero": 0.0, "negative": -1.0
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("first, second", list(itertools.product(BAD_INTENSITIES, repeat=2)))
+def test_intensity_range_error_names_the_first_bad_point(first, second):
+    # eta = x, intensity 1 except at x = 2 and x = 3
+    values = {2.0: BAD_INTENSITIES[first], 3.0: BAD_INTENSITIES[second]}
+    spiky = g.custom_family("spiky", lambda eta: values.get(eta, 1.0))
+    spec = g.ModelSpec(spiky, g.single_factor_intercept(), (0.0, 1.0))
+    with pytest.raises(DomainError) as info:
+        g.intensity_many(spec, [[0.0], [1.0], [2.0], [3.0], [4.0]])
+    assert str(info.value) == (
+        "intensity of family 'spiky' is not finite and positive at point (2.0,)"
+    )
+
+
+HALFLINE = g.custom_family("halfline", lambda eta: 1.0 / eta, domain=lambda eta: eta > 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", [*FAMILIES.values(), HALFLINE], ids=lambda f: f.name)
+def test_intensity_of_no_points_is_empty(family):
+    spec = g.ModelSpec(family, g.first_order_intercept(2), (1.0, 0.5, 0.5))
+    u = g.intensity_many(spec, np.empty((0, 2)))
+    assert u.shape == (0,) and u.dtype == np.float64
 
 
 def test_unit_information_pinned():
