@@ -39,6 +39,8 @@ from .models import (
     ModelSpec,
     gamma_inverse,
     intensity_many,
+    linear_identity,
+    logistic,
     poisson_log,
     regression_matrix,
 )
@@ -242,29 +244,6 @@ def _d_root(v: np.ndarray, p: int) -> np.ndarray:
     return np.insert(h + np.array(r), m, h + s)
 
 
-def _spd_solve(H: list[list[float]], *columns: list[float]) -> list[list[float]]:
-    """x with H x = c for each column c, H small, symmetric and positive
-    definite, by elimination without pivoting."""
-    n = len(H)
-    rows = [H[i] + [c[i] for c in columns] for i in range(n)]
-    for col in range(n):
-        top = rows[col]
-        if not top[col] > 0.0:
-            raise ConvergenceError("four-point A Newton system is not positive definite")
-        for row in rows[col + 1:]:
-            f = row[col] / top[col]
-            for j in range(col + 1, len(row)):
-                row[j] -= f * top[j]
-    solutions = []
-    for k in range(n, n + len(columns)):
-        x = [0.0] * n
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            x[i] = (row[k] - sum([row[j] * x[j] for j in range(i + 1, n)])) / row[i]
-        solutions.append(x)
-    return solutions
-
-
 def _a_root(G: np.ndarray) -> list[float]:
     """A-optimal weights on the p + 1 rows of G = sqrt(u) f, all carrying
     mass, to a relative support gap of A_FOURPOINT_TOL.
@@ -330,7 +309,7 @@ def _a_root(G: np.ndarray) -> list[float]:
         for j in range(r):
             H[j][j] -= 2.0 * g[j]
         # e = -H^-1 (g + lam w), with lam setting w^T e = 0
-        x, z = _spd_solve(H, g, w)
+        x, z = np.linalg.solve(H, np.transpose([g, w])).T.tolist()
         lam = sum([wj * xj for wj, xj in zip(w, x)]) / sum([wj * zj for wj, zj in zip(w, z)])
         e = [lam * zj - xj for xj, zj in zip(x, z)]
         t = 1.0
@@ -392,14 +371,24 @@ def binary_two_point_design(spec: ModelSpec, a: float, b: float, criterion: str)
     return Design.from_arrays(pts, w)
 
 
+# (1/u)'' in the linear predictor, in closed form for the builtin families
+# that have one; any other family takes central differences
+_D2_INVERSE_INTENSITY = {
+    logistic: lambda eta: np.exp(eta) + np.exp(-eta),
+    poisson_log: lambda eta: np.exp(-eta),
+    gamma_inverse: lambda eta: np.full_like(eta, 2.0),
+    linear_identity: lambda eta: np.zeros_like(eta),
+}
+
+
 def _second_derivative_inverse_intensity(spec: ModelSpec, xs: np.ndarray) -> np.ndarray:
     """q''(x) for q(x) = 1 / u(x, beta) along a single factor; overflow is
     left as inf for the caller to reject."""
+    d2 = _D2_INVERSE_INTENSITY.get(spec.family)
     with np.errstate(over="ignore"):
-        if spec.family.d2_inverse_intensity is not None:
+        if d2 is not None:
             beta1 = spec.beta[1]
-            eta = spec.beta[0] + beta1 * xs
-            return beta1 * beta1 * np.asarray(spec.family.d2_inverse_intensity(eta), dtype=float)
+            return beta1 * beta1 * d2(spec.beta[0] + beta1 * xs)
         h = 1e-4 * np.maximum(1.0, np.abs(xs))
         q = lambda t: 1.0 / intensity_many(spec, t[:, None])
         return (q(xs - h) - 2.0 * q(xs) + q(xs + h)) / (h * h)

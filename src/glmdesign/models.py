@@ -35,16 +35,16 @@ class LinkFamily:
             intensity u; must accept and return numpy arrays.
         eta_in_domain: optional vectorized predicate marking admissible
             linear predictor values; None means the whole real line.
-        d2_inverse_intensity: optional analytic second derivative of
-            1/u with respect to the linear predictor, used by the
-            interval-boundary construction; None falls back to central
-            differences.
+
+    The former fourth field, ``d2_inverse_intensity``, is gone: the closed
+    forms of (1/u)'' that the interval-boundary construction reads live in
+    the constructors module, keyed by the builtin families, and every other
+    family takes central differences there.
     """
 
     name: str
     intensity_of_eta: Callable
     eta_in_domain: Callable | None = None
-    d2_inverse_intensity: Callable | None = None
 
     def __repr__(self) -> str:
         return f"LinkFamily({self.name!r})"
@@ -85,32 +85,17 @@ def _linear_u(eta):
     return np.ones_like(np.asarray(eta, dtype=float))
 
 
-logistic = LinkFamily(
-    "logistic",
-    _logistic_u,
-    d2_inverse_intensity=lambda eta: np.exp(eta) + np.exp(-eta),
-)
+logistic = LinkFamily("logistic", _logistic_u)
 
 probit = LinkFamily("probit", _probit_u)
 
-poisson_log = LinkFamily(
-    "poisson_log",
-    _poisson_u,
-    d2_inverse_intensity=lambda eta: np.exp(-np.asarray(eta, dtype=float)),
-)
+poisson_log = LinkFamily("poisson_log", _poisson_u)
 
 gamma_inverse = LinkFamily(
-    "gamma_inverse",
-    _gamma_u,
-    eta_in_domain=lambda eta: np.asarray(eta, dtype=float) > 0.0,
-    d2_inverse_intensity=lambda eta: np.full_like(np.asarray(eta, dtype=float), 2.0),
+    "gamma_inverse", _gamma_u, lambda eta: np.asarray(eta, dtype=float) > 0.0
 )
 
-linear_identity = LinkFamily(
-    "linear_identity",
-    _linear_u,
-    d2_inverse_intensity=lambda eta: np.zeros_like(np.asarray(eta, dtype=float)),
-)
+linear_identity = LinkFamily("linear_identity", _linear_u)
 
 BUILTIN_FAMILIES: dict[str, LinkFamily] = {
     f.name: f for f in (logistic, probit, poisson_log, gamma_inverse, linear_identity)
