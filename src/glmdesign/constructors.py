@@ -7,10 +7,12 @@ are certifiable through the equivalence theorem on the stated region; the
 slack is reported so callers can trace decisions near case boundaries.
 D weights on p + 1 points, all carrying mass, come from one bracketed root
 (_d_root) behind one drop rule (_d_drop), for fourpoint_d_weights and for
-the four-point case of two_factor_design alike.  The four-point A weights of
-two_factor_design come from Newton steps on the Cauchy-Binet form of
-tr M^-1 (_a_root).  Both run in scalar arithmetic; nothing here calls the
-general weight solve of the optimize module.
+the four-point case of two_factor_design alike, in scalar arithmetic.  The
+four-point A weights of two_factor_design come from Newton steps on the
+Cauchy-Binet form of tr M^-1 (_a_root), whose 4 x 4 Newton system goes to
+LAPACK.  Nothing here calls the general weight solve of the optimize module.
+The closed forms of (1/u)'' that the interval condition reads are this
+module's own table, keyed by the builtin families.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .models import (
     FIRST_ORDER_NO_INTERCEPT,
     SINGLE_FACTOR_INTERCEPT,
     ModelSpec,
+    _integer_at_least,
     gamma_inverse,
     intensity_many,
     linear_identity,
@@ -264,8 +267,12 @@ def _a_root(G: np.ndarray) -> list[float]:
     y_l / Q (zero on the diagonal) and g_j = -w_j s_j, the gradient and
     Hessian of tr M^-1 over tr M^-1 in e are g and
     H = q + a g^T + g a^T - 2 diag(g), and e minimizes g^T e + e^T H e / 2
-    subject to w^T e = 0.  The step is halved until every weight stays
-    positive and tr M^-1 does not rise beyond its rounding.
+    subject to w^T e = 0.  H is D_w (Hessian of tr M^-1 in w) D_w / tr M^-1,
+    and positive definite: tr M^-1 is strictly convex in w because the
+    rank-one terms u_i f_i f_i^T of the four corners of {0, 1}^2 are linearly
+    independent.  LAPACK (np.linalg.solve) solves H [x z] = [g w] in one call.
+    The step is halved until every weight stays positive and tr M^-1 does
+    not rise beyond its rounding.
     """
     r = G.shape[0]
     points = set(range(r))
@@ -617,9 +624,7 @@ def hypercube_linear_design(nu: int, criterion: str) -> Design:
     design is the single layer with q ones.
     """
     crit = _criterion(criterion)
-    if int(nu) != nu or nu < 2:
-        raise ValueError("the hypercube layer design needs an integer nu >= 2")
-    nu = int(nu)
+    nu = _integer_at_least(nu, 2, "the hypercube layer design needs an integer nu >= 2")
     q, odd = divmod(nu, 2)
     # weight of each point, by its number of ones
     if odd:

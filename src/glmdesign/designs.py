@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CriterionOverflowError, SingularMatrixError
-from .models import ModelSpec, intensity_many, regression_matrix
+from .models import ModelSpec, _integer_at_least, intensity_many, regression_matrix
 
 # Two coordinates are the same point when they agree after rounding to this
 # many significant digits.
@@ -197,9 +197,8 @@ class BinaryHypercube(_RegionFields):
     nu: int
 
     def __post_init__(self) -> None:
-        if int(self.nu) != self.nu or self.nu < 1:
-            raise ValueError("binary_hypercube needs a positive integer dimension")
-        object.__setattr__(self, "nu", int(self.nu))
+        nu = _integer_at_least(self.nu, 1, "binary_hypercube needs a positive integer dimension")
+        object.__setattr__(self, "nu", nu)
 
     def candidate_points(self) -> np.ndarray:
         corners = list(itertools.product((0.0, 1.0), repeat=self.nu))
@@ -226,11 +225,11 @@ class GridBox(_RegionFields):
             raise ValueError("grid_box bounds must be finite")
         if (hi <= lo).any():
             raise ValueError("grid_box requires lower < upper on every axis")
-        if (res.astype(int) != res).any() or (res.astype(int) < 2).any():
-            raise ValueError("grid_box needs an integer resolution >= 2 per axis")
+        message = "grid_box needs an integer resolution >= 2 per axis"
+        res = tuple(_integer_at_least(v, 2, message) for v in res)
         object.__setattr__(self, "lower", tuple(float(v) for v in lo))
         object.__setattr__(self, "upper", tuple(float(v) for v in hi))
-        object.__setattr__(self, "resolution", tuple(int(v) for v in res))
+        object.__setattr__(self, "resolution", res)
 
     @property
     def nu(self) -> int:

@@ -25,6 +25,18 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 PROBIT_TAIL_FLOOR = 1e-300
 
 
+def _integer_at_least(value, least: int, message: str) -> int:
+    """``value`` as an int; ValueError(message) when it is fractional, not
+    finite or below ``least``."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        raise ValueError(message) from None
+    if n != value or n < least:
+        raise ValueError(message)
+    return n
+
+
 @dataclass(frozen=True)
 class LinkFamily:
     """Intensity rule of a one-parameter exponential-family response.
@@ -36,10 +48,9 @@ class LinkFamily:
         eta_in_domain: optional vectorized predicate marking admissible
             linear predictor values; None means the whole real line.
 
-    The former fourth field, ``d2_inverse_intensity``, is gone: the closed
-    forms of (1/u)'' that the interval-boundary construction reads live in
-    the constructors module, keyed by the builtin families, and every other
-    family takes central differences there.
+    Nothing else: the closed forms of (1/u)'' that the interval construction
+    reads, once a fourth field ``d2_inverse_intensity``, are a table of the
+    constructors module keyed by the builtin families.
     """
 
     name: str
@@ -136,9 +147,8 @@ class RegressionKind:
     def __post_init__(self) -> None:
         if self.name not in _KIND_NAMES:
             raise ValueError(f"unknown regression kind {self.name!r}")
-        if int(self.nu) != self.nu or self.nu < 1:
-            raise ValueError("number of factors must be a positive integer")
-        object.__setattr__(self, "nu", int(self.nu))
+        nu = _integer_at_least(self.nu, 1, "number of factors must be a positive integer")
+        object.__setattr__(self, "nu", nu)
         if self.name == SINGLE_FACTOR_INTERCEPT and self.nu != 1:
             raise ValueError("single_factor_intercept requires exactly one factor")
 

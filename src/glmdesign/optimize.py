@@ -31,7 +31,7 @@ from .designs import (
 )
 from .equivalence import VerificationReport, verify_design
 from .errors import ConvergenceError, CriterionOverflowError, SingularMatrixError
-from .models import ModelSpec
+from .models import ModelSpec, _integer_at_least
 
 # Armijo constant: a step must realize this share of its predicted decrease.
 ARMIJO = 1e-4
@@ -64,8 +64,8 @@ class OptimizerOptions:
     convergence_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        if int(self.max_iterations) != self.max_iterations or self.max_iterations < 1:
-            raise ValueError("max_iterations must be a positive integer")
+        n = _integer_at_least(self.max_iterations, 1, "max_iterations must be a positive integer")
+        object.__setattr__(self, "max_iterations", n)
         if not (0.0 < self.convergence_tol < math.inf):
             raise ValueError("convergence_tol must be finite and positive")
 
@@ -403,9 +403,7 @@ def brute_force_weights(
     r = pts.shape[0]
     if r > 5:
         raise ValueError("exhaustive weight search is limited to supports of <= 5 points")
-    g = int(grid_resolution)
-    if g != grid_resolution or g < 10:
-        raise ValueError("grid_resolution must be an integer >= 10")
+    g = _integer_at_least(grid_resolution, 10, "grid_resolution must be an integer >= 10")
     if math.comb(g + r - 1, r - 1) > _BRUTE_FORCE_CAP:
         raise ValueError("weight grid is too large to enumerate")
 

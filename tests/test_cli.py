@@ -200,6 +200,7 @@ def test_scan_without_out_is_schema_error(tmp_path):
         lambda c: c.update(a=["x"]),  # checked on every construct job
         lambda c: c.update(INTERVAL, grid=[1]),  # removed field: the convexity grid is fixed
         lambda c: c.update(INTERVAL, grid=[-5]),
+        lambda c: c.update(region={"type": "binary_hypercube", "nu": 1e999}),  # parses as inf
     ],
 )
 def test_schema_errors_exit_2(tmp_path, mutate):

@@ -684,6 +684,83 @@ def test_two_factor_swap_equivariance():
         np.testing.assert_allclose(w2[(x2, x1)], w, rtol=1e-9)
 
 
+def test_two_factor_selectors_decide_certification():
+    # each selector must agree with the equivalence theorem on the corners:
+    # the D drop margin with the equal-weight design on the other three, and
+    # each dominant-corner A shortfall with that case's three-point design;
+    # no seeded draw comes within 2e-4 (relative to sum 1/u) of a boundary
+    cube = g.BinaryHypercube(2)
+    corners = np.asarray(SQUARE)
+    held = [0] * 5
+    rng = np.random.default_rng(10)
+    for family in (g.logistic, g.poisson_log, g.probit):
+        for _ in range(500):
+            beta = tuple(rng.uniform(-3.0, 2.0, 3))
+            spec = g.ModelSpec(family, g.first_order_intercept(2), beta)
+            u = g.intensity_many(spec, corners)
+            dropped, margin = _d_drop(u)
+            three = g.Design.from_arrays(np.delete(corners, dropped, axis=0), np.full(3, 1 / 3))
+            rep = g.verify_design(three, spec, 0.0, cube)
+            assert (margin >= 0.0) == rep.passed, (family.name, beta, margin)
+            held[0] += margin >= 0.0
+            q = 1.0 / np.sqrt(u)
+            for case, (_, others, mult) in enumerate(constructors._A_CASES_2FACTOR):
+                w = np.asarray(mult) * q[list(others)]
+                three = g.Design.from_arrays(corners[list(others)], w / w.sum())
+                rep = g.verify_design(three, spec, 1.0, cube)
+                shortfall = constructors._a_case_shortfall(q, case)
+                assert (shortfall >= 0.0) == rep.passed, (family.name, beta, case, shortfall)
+                held[case + 1] += shortfall >= 0.0
+    # every rule holds on some draws and fails on others
+    assert all(0 < n < 1500 for n in held), held
+
+
+def test_extreme_slopes_end_in_finite_designs_or_typed_errors():
+    # 360 calls at slopes 300..700, under warnings as errors: each returns
+    # finite weights and a finite margin or raises a package error; 196
+    # returned finite designs when this sweep was committed
+    errors = (g.DomainError, g.SingularMatrixError, g.ConvergenceError, g.CriterionOverflowError)
+    finite = calls = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family, s, b0 in itertools.product(
+            (g.logistic, g.probit, g.poisson_log), range(300, 701, 100), (0.0, 1.0)
+        ):
+            builds = []
+            for slopes in ((s, 3.0), (-s, 3.0), (s, s), (-s, -s)):
+                spec = g.ModelSpec(family, g.first_order_intercept(2), (b0, *slopes))
+                builds += [lambda spec=spec, c=c: g.two_factor_design(spec, c) for c in "DA"]
+            for slope in (s, -s):
+                spec = g.ModelSpec(family, g.single_factor_intercept(), (b0, slope))
+                builds += [
+                    lambda spec=spec, c=c: g.binary_two_point_design(spec, -1.0, 1.0, c)
+                    for c in "DA"
+                ]
+            for build in builds:
+                calls += 1
+                try:
+                    r = build()
+                except errors:
+                    continue
+                if not isinstance(r, g.Design):
+                    assert math.isfinite(r.condition_margin), (family.name, s, r.case_label)
+                    r = r.design
+                assert np.isfinite(r.weights).all(), (family.name, s)
+                finite += 1
+    assert calls == 360 and finite >= 196, (calls, finite)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b0", [-700.0, -300.0, 300.0, 700.0])
+def test_two_factor_a_four_point_survives_extreme_intercepts(b0):
+    # Poisson designs do not depend on the intercept: at intensities near
+    # e^+-700 the four-point Newton solve returns the weights of b0 = 0
+    ref = g.two_factor_design(poisson2((0.0, 0.6, 0.4)), "A")
+    r = g.two_factor_design(poisson2((b0, 0.6, 0.4)), "A")
+    assert r.case_label == ref.case_label == "A-4pt-numeric"
+    np.testing.assert_allclose(r.design.weights, ref.design.weights, rtol=1e-13)
+
+
 # ---------------------------------------------------------- corner designs
 
 

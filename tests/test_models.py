@@ -5,6 +5,7 @@ from each family's mean function and variance, i.e. u = 1/(var(Y)*(deta/dmu)^2)
 assembled from first principles rather than from the shipped formulas.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -268,3 +269,66 @@ def test_custom_family_domain_predicate():
     assert g.intensity(spec, [2.0]) == 0.5
     with pytest.raises(DomainError):
         g.intensity(spec, [-1.0])
+
+
+def test_link_family_carries_only_its_intensity_rule():
+    names = [f.name for f in dataclasses.fields(g.LinkFamily)]
+    assert names == ["name", "intensity_of_eta", "eta_in_domain"]
+    with pytest.raises(TypeError):
+        g.LinkFamily("logistic", np.exp, None, lambda eta: eta)
+    for family in FAMILIES.values():
+        assert not hasattr(family, "d2_inverse_intensity")
+
+
+# each site that takes an integer count: its least admitted value and message
+INTEGER_SITES = {
+    "BinaryHypercube.nu": (lambda v: g.BinaryHypercube(v), 1, "positive integer dimension"),
+    "GridBox.resolution": (
+        lambda v: g.GridBox((0.0,), (1.0,), (v,)), 2, "integer resolution >= 2 per axis"
+    ),
+    "RegressionKind.nu": (
+        lambda v: g.RegressionKind("first_order_intercept", v), 1, "must be a positive integer"
+    ),
+    "hypercube_linear_design": (
+        lambda v: g.hypercube_linear_design(v, "D"), 2, "needs an integer nu >= 2"
+    ),
+    "brute_force_weights": (
+        lambda v: g.brute_force_weights(
+            g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 1.0)),
+            [(0.0,), (1.0,)],
+            0.0,
+            v,
+        ),
+        10,
+        "grid_resolution must be an integer >= 10",
+    ),
+    "OptimizerOptions.max_iterations": (
+        lambda v: g.OptimizerOptions(max_iterations=v), 1, "max_iterations must be a positive"
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan", "fraction", "below"])
+def test_integer_arguments_reject_fractional_non_finite_and_small_values(site, bad):
+    build, least, message = INTEGER_SITES[site]
+    value = least + 0.5 if bad == "fraction" else least - 1 if bad == "below" else float(bad)
+    with pytest.raises(ValueError, match=message):
+        build(value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_arguments_accept_whole_floats(site):
+    build, least, _ = INTEGER_SITES[site]
+    build(float(least))
+
+
+def test_whole_float_iteration_cap_is_stored_as_int():
+    opts = g.OptimizerOptions(max_iterations=5.0)
+    assert type(opts.max_iterations) is int and opts.max_iterations == 5
+    spec = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 1.0))
+    grid = g.GridBox((-1.0,), (1.0,), (5,))
+    g.optimize_weights(spec, [(-1.0,), (1.0,)], 0.0, opts)
+    g.optimize_design(spec, grid, 0.0, opts)
