@@ -48,9 +48,10 @@ class LinkFamily:
         eta_in_domain: optional vectorized predicate marking admissible
             linear predictor values; None means the whole real line.
 
-    Nothing else: the closed forms of (1/u)'' that the interval construction
-    reads, once a fourth field ``d2_inverse_intensity``, are a table of the
-    constructors module keyed by the builtin families.
+    Nothing else: the fourth field, an analytic (1/u)'' for the interval
+    construction, is removed, and a fourth argument raises TypeError.  Those
+    closed forms are a table of the constructors module, keyed by the
+    builtin families.
     """
 
     name: str
