@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import glmdesign as g
 from glmdesign import constructors, optimize
-from glmdesign.constructors import _d_drop, _d_root
+from glmdesign.constructors import _A_CASES_2FACTOR, _a_case_shortfall, _d_drop, _d_root
 from glmdesign.designs import _EigenState, _scaled_rows
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
@@ -704,11 +704,11 @@ def test_two_factor_selectors_decide_certification():
             assert (margin >= 0.0) == rep.passed, (family.name, beta, margin)
             held[0] += margin >= 0.0
             q = 1.0 / np.sqrt(u)
-            for case, (_, others, mult) in enumerate(constructors._A_CASES_2FACTOR):
+            for case, (_, others, mult) in enumerate(_A_CASES_2FACTOR):
                 w = np.asarray(mult) * q[list(others)]
                 three = g.Design.from_arrays(corners[list(others)], w / w.sum())
                 rep = g.verify_design(three, spec, 1.0, cube)
-                shortfall = constructors._a_case_shortfall(q, case)
+                shortfall = _a_case_shortfall(q, case)
                 assert (shortfall >= 0.0) == rep.passed, (family.name, beta, case, shortfall)
                 held[case + 1] += shortfall >= 0.0
     # every rule holds on some draws and fails on others
