@@ -16,7 +16,7 @@ import sys
 
 from .constructors import CONSTRUCTORS, ConstructResult
 from .designs import Design, FiniteSet, parse_criterion_order, region_from_dict
-from .equivalence import sensitivity_scan, verify_design, write_scan_csv
+from .equivalence import _scan_rows, verify_design, write_scan_csv
 from .errors import ConvergenceError, DomainError
 from .models import (
     BUILTIN_FAMILIES,
@@ -168,6 +168,8 @@ def execute(cfg: dict, out_path: str | None = None) -> tuple[int, str]:
     if task != "construct":
         _require(region is not None, f"task {task!r} requires a region")
         _require(math.isfinite(k), f"task {task!r} requires a finite criterion order")
+        _require(region.nu == spec.nu,
+                 f"region has dimension {region.nu} but the model has nu = {spec.nu}")
     if task in ("verify", "scan"):
         _require("design_in" in cfg, f"task {task!r} requires design_in")
         design = _parse_design(cfg["design_in"])
@@ -190,9 +192,9 @@ def execute(cfg: dict, out_path: str | None = None) -> tuple[int, str]:
         code = EXIT_OK if report.passed else EXIT_VERIFY_FAILED
     else:
         _require(out_path is not None, "task 'scan' requires --out PATH for the CSV table")
-        rows = sensitivity_scan(design, spec, k, region)
+        n, bound, rows = _scan_rows(design, spec, k, region)
         write_scan_csv(rows, out_path)
-        doc = {"rows": len(rows), "bound": rows[0][2], "out": str(out_path)}
+        doc = {"rows": n, "bound": bound, "out": str(out_path)}
     return code, json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 

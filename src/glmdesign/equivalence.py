@@ -14,6 +14,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -132,29 +133,64 @@ def verify_design(
     )
 
 
+def _scan_rows(design: Design, spec: ModelSpec, k: float, region: Region):
+    """(n, bound, rows) of a scan: every sensitivity is computed here, so any
+    error is raised before a table is written; the n rows are built lazily,
+    one row block at a time, by chaining each block's zip of columns."""
+    cand = region_points(region)
+    n = cand.shape[0]
+    if n == 0:
+        raise ValueError("scan region is empty")
+    kernel = _SensitivityKernel(design, spec, k)
+    sens = kernel.many(cand)
+    bound = kernel.bound
+    rows = itertools.chain.from_iterable(
+        zip(zip(*cand[b].T.tolist()), sens[b].tolist(), itertools.repeat(bound))
+        for b in _row_blocks(n)
+    )
+    return n, bound, rows
+
+
 def sensitivity_scan(
     design: Design, spec: ModelSpec, k: float, region: Region
 ) -> list[tuple[tuple[float, ...], float, float]]:
     """Tabulate (point, sensitivity, bound) over the region in lexicographic order.
 
     Each row is a tuple of Python floats (the point), then the sensitivity
-    and the bound as Python floats.  Rows are built column by column, one
-    row block at a time, so no list of every coordinate is held at once.
+    and the bound as Python floats.  The list is filled from _scan_rows,
+    whose rows are built column by column, one row block at a time; the
+    command-line scan writes those rows without holding them all.
     """
-    cand = region_points(region)
-    if cand.shape[0] == 0:
-        raise ValueError("scan region is empty")
-    kernel = _SensitivityKernel(design, spec, k)
-    sens = kernel.many(cand)
-    rows: list[tuple[tuple[float, ...], float, float]] = []
-    for b in _row_blocks(cand.shape[0]):
-        points = zip(*cand[b].T.tolist())
-        rows.extend(zip(points, sens[b].tolist(), itertools.repeat(kernel.bound)))
-    return rows
+    return list(_scan_rows(design, spec, k, region)[2])
+
+
+class _Cells(dict):
+    """Memo of the CSV text of each value of one column: %.17g, then the
+    separator.  Zeros and NaNs are formatted but not kept: 0.0 == -0.0 while
+    they print as 0 and -0, and a NaN never finds its own entry.  No other
+    two equal floats print differently under %g."""
+
+    def __init__(self, end: str):
+        super().__init__()
+        self.template = f"%.{SCAN_DIGITS}g{end}"
+
+    def __missing__(self, value):
+        text = self.template % value
+        if value and value == value:
+            self[value] = text
+        return text
 
 
 def write_scan_csv(rows, out) -> None:
     """Write a scan table as CSV with 17-significant-digit decimal floats.
+
+    ``rows`` is any iterable of (point, sensitivity, bound) rows; it is read
+    ROW_BLOCK rows at a time, so a lazy table is never held whole.  Each
+    coordinate column and the bound column format every distinct value once
+    (_Cells, cleared once it holds more than ROW_BLOCK values); each
+    sensitivity is formatted on its own.  An empty table raises ValueError
+    before ``out`` is opened; a point of another length than the first
+    raises ValueError when its block is reached.
 
     ``out`` is a path or an open text file.  A path is rewritten in place
     and then cut to the length written, not truncated first: truncating a
@@ -163,18 +199,36 @@ def write_scan_csv(rows, out) -> None:
     target that is not a regular file (a pipe, ``os.devnull``) is only
     written.  An open file is written at its position and left open.
     """
-    if not rows:
+    step = designs.ROW_BLOCK
+    rows = iter(rows)
+    chunks = iter(lambda: list(itertools.islice(rows, step)), [])
+    first = next(chunks, None)
+    if first is None:
         raise ValueError("cannot write an empty scan")
-    nu = len(rows[0][0])
-    header = ",".join([f"x{i + 1}" for i in range(nu)] + ["sensitivity", "bound"])
+    nu = len(first[0][0])
+    width = nu + 2
+    header = ",".join([f"x{i + 1}" for i in range(nu)] + ["sensitivity", "bound"]) + "\n"
     # %-formatting a float and format(v, ".17g") produce the same digits
-    line = ",".join([f"%.{SCAN_DIGITS}g"] * (nu + 2)) + "\n"
+    sensitivity = f"%.{SCAN_DIGITS}g,"
+    memos = [_Cells(",") for _ in range(nu)] + [_Cells("\n")]  # coordinates, then the bound
 
     def emit(fh) -> None:
-        fh.write(header + "\n")
-        step = designs.ROW_BLOCK
-        for start in range(0, len(rows), step):
-            fh.write("".join([line % (*pt, s, b) for pt, s, b in rows[start:start + step]]))
+        fh.write(header)
+        for chunk in itertools.chain([first], chunks):
+            # columns are read with itemgetter: zip(*chunk) would make one
+            # GC-tracked iterator per row and set off collections
+            points = list(map(itemgetter(0), chunk))
+            if set(map(len, points)) != {nu}:
+                raise ValueError(f"every scan point must have {nu} coordinates")
+            for memo in memos:
+                if len(memo) > step:
+                    memo.clear()
+            cells = [""] * (width * len(chunk))
+            for j in range(nu):
+                cells[j::width] = map(memos[j].__getitem__, map(itemgetter(j), points))
+            cells[nu::width] = map(sensitivity.__mod__, map(itemgetter(1), chunk))
+            cells[nu + 1::width] = map(memos[nu].__getitem__, map(itemgetter(2), chunk))
+            fh.write("".join(cells))
 
     if isinstance(out, (str, bytes)) or hasattr(out, "__fspath__"):
         fd = os.open(out, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)

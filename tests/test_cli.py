@@ -5,17 +5,20 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import glmdesign
+from glmdesign import designs
 from glmdesign.cli import (
     EXIT_MODEL,
     EXIT_OK,
     EXIT_SCHEMA,
     EXIT_VERIFY_FAILED,
+    execute,
     main,
 )
 from glmdesign.constructors import CONSTRUCTORS
@@ -165,6 +168,78 @@ def test_scan_writes_csv(tmp_path):
     lines = out_path.read_text().strip().split("\n")
     assert lines[0] == "x1,sensitivity,bound"
     assert len(lines) == 6
+
+
+def test_failing_scan_leaves_out_untouched(tmp_path):
+    # eta = 2 - x <= 0 for x >= 2: the gamma intensity is undefined there
+    cfg = {
+        "task": "scan",
+        "model": {"family": "gamma_inverse", "kind": "single_factor_intercept", "beta": [2.0, -1.0]},
+        "criterion": {"k": 1},
+        "region": {"type": "grid_box", "lower": [0.0], "upper": [3.0], "resolution": [7]},
+        "design_in": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+    }
+    out_path = tmp_path / "scan.csv"
+    out_path.write_bytes(b"x1,sensitivity,bound\nearlier table\n")
+    inode = os.stat(out_path).st_ino
+    code, out = run_cli(tmp_path, cfg, extra=["--out", str(out_path)])
+    assert code == EXIT_MODEL
+    assert json.loads(out)["error"] == "model"
+    assert out_path.read_bytes() == b"x1,sensitivity,bound\nearlier table\n"
+    assert os.stat(out_path).st_ino == inode
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def test_scan_memory_stays_within_row_blocks(tmp_path):
+    # a 317 x 317 scan is 100 489 rows; holding them all as tuples took
+    # about 22 MB, streaming them in row blocks takes under 9 MB
+    cfg = json.loads((GOLDEN_DIR / "scan_two_factor_design_a.json").read_text())
+    cfg["region"]["resolution"] = [317, 317]
+    out_path = tmp_path / "scan.csv"
+    execute(cfg, str(out_path))  # first call: imports and one-time caches
+    tracemalloc.start()
+    try:
+        code, _ = execute(cfg, str(out_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak < 12e6, peak
+
+
+def test_scan_streamed_in_small_blocks_matches_golden(tmp_path, monkeypatch):
+    # 121 rows in 18 blocks of at most 7; each column memo is emptied on the way
+    monkeypatch.setattr(designs, "ROW_BLOCK", 7)
+    cfg = json.loads((GOLDEN_DIR / "scan_two_factor_design_a.json").read_text())
+    out_path = tmp_path / "scan.csv"
+    code, _ = execute(cfg, str(out_path))
+    assert code == EXIT_OK
+    assert out_path.read_bytes() == (GOLDEN_DIR / "scan_two_factor_design_a.csv").read_bytes()
+
+
+REGION_MODEL_MISMATCH = {
+    "model": {"family": "logistic", "kind": "first_order_intercept", "nu": 2, "beta": [0.0, 1.0, 1.0]},
+    "criterion": {"k": 0},
+    "design_in": {"points": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], "weights": [0.3, 0.3, 0.4]},
+}
+
+
+@pytest.mark.parametrize("task", ["optimize", "verify", "scan"])
+@pytest.mark.parametrize("nu, shown", [(3, "3"), (1e300, str(int(1e300)))], ids=["3", "1e300"])
+def test_region_of_another_dimension_is_schema_error(tmp_path, monkeypatch, task, nu, shown):
+    def never(self):
+        raise AssertionError("candidates built for a region of the wrong dimension")
+
+    monkeypatch.setattr(designs.BinaryHypercube, "candidate_points", never)
+    cfg = dict(REGION_MODEL_MISMATCH, task=task, region={"type": "binary_hypercube", "nu": nu})
+    code, out = run_cli(tmp_path, cfg, extra=["--out", str(tmp_path / "scan.csv")])
+    assert code == EXIT_SCHEMA
+    doc = json.loads(out)
+    assert doc["error"] == "schema"
+    assert f"dimension {shown} " in doc["message"] and "nu = 2" in doc["message"]
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_scan_without_out_is_schema_error(tmp_path):

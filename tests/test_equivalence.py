@@ -485,3 +485,47 @@ def test_scan_new_file_mode_follows_umask(tmp_path):
     finally:
         os.umask(old)
     assert os.stat(tmp_path / "scan.csv").st_mode == os.stat(tmp_path / "plain.csv").st_mode
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    g.write_scan_csv(rows, buf)
+    return buf.getvalue()
+
+
+def test_scan_csv_signed_zeros_keep_their_sign():
+    # 0.0 == -0.0, so a memo keyed by value would print whichever came first
+    rows = [((0.0, -0.0), 1.0, 0.0), ((-0.0, 0.0), 2.0, -0.0), ((0.0, -0.0), -0.0, 0.0)]
+    assert _csv(rows) == "x1,x2,sensitivity,bound\n0,-0,1,0\n-0,0,2,-0\n0,-0,-0,0\n"
+    assert _csv(rows) == _reference_csv(rows)
+
+
+def test_scan_csv_non_finite_values_print_as_percent_g():
+    nan, inf = float("nan"), float("inf")
+    rows = [((inf, nan), nan, inf), ((-inf, nan), inf, nan), ((inf, 1.5), -inf, inf)]
+    text = _csv(rows)
+    assert text == _reference_csv(rows)
+    assert text.splitlines()[1:] == ["inf,nan,nan,inf", "-inf,nan,inf,nan", "inf,1.5,-inf,inf"]
+
+
+@pytest.mark.parametrize("bad", [(0.5,), (0.5, 1.0, 2.0)])
+@pytest.mark.parametrize("at", [0, BLOCK + 1])
+def test_scan_csv_point_of_wrong_length_is_value_error(small_blocks, bad, at):
+    rows = [((0.1 * i, 0.2), 1.0, 2.0) for i in range(2 * BLOCK)]
+    rows[at] = (bad, 1.0, 2.0)  # first in the table, or inside the second block
+    with pytest.raises(ValueError, match="coordinates"):
+        _csv(rows)
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+def test_scan_csv_generator_matches_list(small_blocks, n):
+    design, spec, region = _scan_case(2, n)
+    rows = g.sensitivity_scan(design, spec, 1.0, region)
+    assert _csv(row for row in rows) == _csv(rows) == _reference_csv(rows)
+
+
+def test_scan_csv_empty_generator_creates_no_file(tmp_path):
+    target = tmp_path / "scan.csv"
+    with pytest.raises(ValueError, match="empty"):
+        g.write_scan_csv((row for row in ()), target)
+    assert not target.exists()
