@@ -5,6 +5,11 @@ ConstructResult bundling the design with the case that fired and the signed
 slack of that case's governing inequality.  Results with condition_ok=True
 are certifiable through the equivalence theorem on the stated region; the
 slack is reported so callers can trace decisions near case boundaries.
+A weights on p spanning points come from one rule (_saturated_a): they are
+proportional to sqrt(c_i) / sqrt(u_i), c_i the sum of squares of column i of
+F^-1, for saturated_weights, the two-point and interval designs, the corner
+design and the three-point cases of two_factor_design alike; those cases are
+told apart by the equivalence theorem at the one corner each leaves out.
 D weights on p + 1 points, all carrying mass, come from one bracketed root
 (_d_root) behind one drop rule (_d_drop), for fourpoint_d_weights and for
 the four-point case of two_factor_design alike, in scalar arithmetic.  The
@@ -28,9 +33,9 @@ from .designs import (
     BinaryHypercube,
     Design,
     Region,
+    _model_candidates,
     _symmetric_terms,
     parse_criterion_order,
-    region_points,
 )
 from .equivalence import _SensitivityKernel
 from .errors import ConvergenceError, DomainError
@@ -70,8 +75,6 @@ D_CRITERION = "D"
 A_CRITERION = "A"
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT3 = math.sqrt(3.0)
-_SQRT23 = math.sqrt(2.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -120,12 +123,27 @@ def _require_kind(spec: ModelSpec, names: tuple[str, ...], what: str) -> None:
 # Weight-level closed forms
 
 
+def _saturated_a(F: np.ndarray, q: np.ndarray):
+    """A-optimal weights on p spanning points, with F^-1 and c.
+
+    F is the p x p regression matrix of the support, or a stack of them, and
+    q = u^-1/2 at its points.  The weights are proportional to sqrt(c_i) q_i,
+    c_i = ((F^-1)^T F^-1)_ii being the sum of squares of column i of F^-1
+    (Pukelsheim & Torsney 1991).  sqrt(c) q stays finite wherever u is a
+    positive double, where c / u would overflow for u near the least one.
+    """
+    Finv = np.linalg.inv(F)
+    c = (Finv * Finv).sum(axis=-2)
+    w = np.sqrt(c) * q
+    return w / w.sum(axis=-1, keepdims=True), Finv, c
+
+
 def saturated_weights(spec: ModelSpec, points, criterion: str) -> np.ndarray:
     """Optimal weights on exactly p spanning points.
 
     D: equal weights.  A: weights proportional to sqrt(c_ii / u_i) where
     c_ii are the diagonal entries of (F^-1)^T F^-1 for the p x p regression
-    matrix F of the support.
+    matrix F of the support (_saturated_a).
     """
     crit = _criterion(criterion)
     pts = np.asarray(points, dtype=float)
@@ -140,11 +158,7 @@ def saturated_weights(spec: ModelSpec, points, criterion: str) -> np.ndarray:
         raise ValueError("saturated support is numerically rank deficient")
     if crit == D_CRITERION:
         return np.full(p, 1.0 / p)
-    u = intensity_many(spec, pts)
-    Finv = np.linalg.inv(F)
-    cdiag = (Finv * Finv).sum(axis=0)
-    w = np.sqrt(cdiag / u)
-    return w / w.sum()
+    return _saturated_a(F, 1.0 / np.sqrt(intensity_many(spec, pts)))[0]
 
 
 def fourpoint_d_weights(spec: ModelSpec, points) -> np.ndarray:
@@ -371,10 +385,8 @@ def binary_two_point_design(spec: ModelSpec, a: float, b: float, criterion: str)
     if crit == D_CRITERION:
         w = np.array([0.5, 0.5])
     else:
-        u = intensity_many(spec, pts)
-        wa = math.sqrt((1.0 + b * b) / u[0])
-        wb = math.sqrt((1.0 + a * a) / u[1])
-        w = np.array([wa, wb]) / (wa + wb)
+        q = 1.0 / np.sqrt(intensity_many(spec, pts))
+        w = _saturated_a(regression_matrix(spec, pts), q)[0]
     return Design.from_arrays(pts, w)
 
 
@@ -412,8 +424,8 @@ def interval_boundary_design(spec: ModelSpec, criterion: str) -> ConstructResult
     crit = _criterion(criterion)
     _require_kind(spec, (SINGLE_FACTOR_INTERCEPT,), "the boundary design")
     ends = np.array([[0.0], [1.0]])
-    u = intensity_many(spec, ends)
-    q0s, q1s = 1.0 / u[0], 1.0 / u[1]
+    qs = 1.0 / intensity_many(spec, ends)
+    q0s, q1s = qs
     xs = np.linspace(0.0, 1.0, INTERVAL_GRID_N + 2)[1:-1]
     qpp = _second_derivative_inverse_intensity(spec, xs)
     if crit == D_CRITERION:
@@ -421,10 +433,9 @@ def interval_boundary_design(spec: ModelSpec, criterion: str) -> ConstructResult
         w = np.array([0.5, 0.5])
         label = "D-boundary"
     else:
-        q0, q1 = math.sqrt(q0s), math.sqrt(q1s)
-        lhs = q0s + q1s + _SQRT2 * q0 * q1
-        w = np.array([_SQRT2 * q0, q1])
-        w = w / w.sum()
+        q = np.sqrt(qs)
+        lhs = q0s + q1s + _SQRT2 * q[0] * q[1]
+        w = _saturated_a(regression_matrix(spec, ends), q)[0]
         label = "A-boundary"
     with np.errstate(over="ignore", invalid="ignore"):
         margin = float((lhs - qpp / 2.0).min())
@@ -438,29 +449,8 @@ def interval_boundary_design(spec: ModelSpec, criterion: str) -> ConstructResult
 
 _CORNERS_2 = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
-# (dominant index, other three in fixed order, weight multipliers)
-_A_CASES_2FACTOR = (
-    (0, (1, 2, 3), (_SQRT2, _SQRT2, _SQRT3)),
-    (1, (0, 2, 3), (_SQRT2, _SQRT2, 1.0)),
-    (2, (0, 1, 3), (_SQRT2, _SQRT2, 1.0)),
-    (3, (0, 1, 2), (_SQRT3, 1.0, 1.0)),
-)
-
-
-def _a_case_shortfall(q: np.ndarray, case: int) -> float:
-    """Signed slack of one dominant-corner inequality (>= 0 means it holds)."""
-    q1, q2, q3, q4 = q
-    if case == 0:
-        rhs = q2 * q2 + q3 * q3 + q4 * q4 + q2 * q3 + 2.0 * _SQRT23 * (q2 * q4 + q3 * q4)
-        return q1 * q1 - rhs
-    if case == 1:
-        rhs = q1 * q1 + q3 * q3 + q4 * q4 + q1 * q3 + _SQRT2 * q3 * q4
-        return q2 * q2 - rhs
-    if case == 2:
-        rhs = q1 * q1 + q2 * q2 + q4 * q4 + q1 * q2 + _SQRT2 * q2 * q4
-        return q3 * q3 - rhs
-    rhs = q1 * q1 + q2 * q2 + q3 * q3 + (2.0 / _SQRT3) * (q1 * q2 + q1 * q3)
-    return q4 * q4 - rhs
+# row m: the three corners kept when corner m is left out
+_OTHERS = np.array([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)])
 
 
 def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
@@ -472,10 +462,18 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     drop rule holds (_d_drop), or four-point weights solving
     u_i w_i (1/3 - w_i) = c (_d_root), certified by the sensitivity reaching
     p = 3 at all four corners.
-    A: one of four dominant-corner three-point designs, or, when no
-    inequality holds, four-point weights from Newton steps on the
+    A: the saturated A weights (_saturated_a) on the three corners other
+    than some corner m, when the equivalence theorem holds at m, the one
+    corner they leave out.  With F_m the rows of those three corners, c_m
+    the column sums of squares of F_m^-1, q = u^-1/2 and
+    a_m = f(x_m)^T F_m^-1, the sensitivity at x_m over the bound is
+    u_m ||F_m^-1 (a_m q_-m / sqrt(c_m))||^2, so the margin
+    q_m^2 - ||F_m^-1 (a_m q_-m / sqrt(c_m))||^2 is >= 0 exactly when the
+    design certifies: the paper's four dominant-corner inequalities.  Each
+    needs its own corner to carry the strictly largest q, so at most one
+    holds.  When none does, four-point weights from Newton steps on the
     Cauchy-Binet form tr M^-1 = e_2 / e_3 (_a_root) to a relative support
-    gap of 1e-12.
+    gap of 1e-12, with margin -max over m.
     """
     crit = _criterion(criterion)
     _require_kind(spec, (FIRST_ORDER_INTERCEPT,), "the two-factor design")
@@ -496,21 +494,24 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
             raise ConvergenceError(f"four-point certificate failed: d(x) misses 3 by {miss!r}")
         return _result(design, "D-4pt", -margin3)
 
+    F = regression_matrix(spec, corners)
     q = 1.0 / np.sqrt(u)
-    shortfalls = [_a_case_shortfall(q, case) for case in range(4)]
-    for case, (dom, others, mult) in enumerate(_A_CASES_2FACTOR):
-        margin = shortfalls[case]
-        if margin >= 0.0:
-            w = np.asarray(mult) * q[list(others)]
-            design = Design.from_arrays(corners[list(others)], w / w.sum())
-            return _result(design, f"A-3pt-drop{dom + 1}", margin)
+    q3 = q[_OTHERS]
+    w3, Finv, c = _saturated_a(F[_OTHERS], q3)
+    # a_m = f(x_m)^T F_m^-1; u_m ||v_m||^2 is the sensitivity over the bound
+    # of the three-point design at the corner m it leaves out
+    a = np.matmul(F[:, None, :], Finv)
+    v = np.matmul(Finv, (a[:, 0] * q3 / np.sqrt(c))[:, :, None])[:, :, 0]
+    shortfalls = q * q - (v * v).sum(axis=1)
+    m = int(np.argmax(shortfalls))
+    if shortfalls[m] >= 0.0:
+        design = Design.from_arrays(corners[_OTHERS[m]], w3[m])
+        return _result(design, f"A-3pt-drop{m + 1}", shortfalls[m])
     # rows sqrt(u) f with u over its maximum: tr M^-1 only scales, and the
     # products of _symmetric_terms stay in range
-    G = regression_matrix(spec, corners) * np.sqrt(u / u.max())[:, None]
+    G = F * np.sqrt(u / u.max())[:, None]
     design = Design.from_arrays(corners, _a_root(G))
-    # governing condition: no dominant-corner inequality holds
-    margin = float(-max(shortfalls))
-    return _result(design, "A-4pt-numeric", margin)
+    return _result(design, "A-4pt-numeric", -shortfalls[m])
 
 
 def corner_design_multifactor(spec: ModelSpec, criterion: str) -> ConstructResult:
@@ -526,9 +527,8 @@ def corner_design_multifactor(spec: ModelSpec, criterion: str) -> ConstructResul
     if crit == D_CRITERION:
         w = np.full(nu + 1, 1.0 / (nu + 1.0))
     else:
-        qs = 1.0 / np.sqrt(intensity_many(spec, support))
-        w = np.concatenate(([math.sqrt(nu + 1.0) * qs[0]], qs[1:]))
-        w = w / w.sum()
+        q = 1.0 / np.sqrt(intensity_many(spec, support))
+        w = _saturated_a(regression_matrix(spec, support), q)[0]
     design = Design.from_arrays(support, w)
     corners = np.asarray(list(itertools.product((0.0, 1.0), repeat=nu)))
     margin = _kernel_margin(design, spec, 0.0 if crit == D_CRITERION else 1.0, corners)
@@ -583,9 +583,7 @@ def axis_design(
 
     if region is None:
         raise ValueError("the general axis condition needs a finite region to scan")
-    cand = region_points(region)
-    if cand.shape[1] != spec.nu:
-        raise ValueError("region dimension does not match the model")
+    cand = _model_candidates(spec, region)
     if math.isinf(k):
         # on these weights d(x)/bound = u(x) sum_i x_i^2 / (a_i^2 u_i) at
         # every finite k: k = inf reports that limit, taken at k = 0

@@ -284,6 +284,14 @@ def region_points(region: Region) -> np.ndarray:
     return region.candidate_points()
 
 
+def _model_candidates(spec: ModelSpec, region: Region) -> np.ndarray:
+    """region_points for the model of spec: ValueError, before any point is
+    built, when the region's dimension is not the model's."""
+    if region.nu != spec.nu:
+        raise ValueError(f"region has dimension {region.nu} but the model has nu = {spec.nu}")
+    return region_points(region)
+
+
 def region_label(region: Region) -> str:
     return region.label()
 

@@ -23,11 +23,11 @@ from .designs import (
     Design,
     Region,
     _EigenState,
+    _model_candidates,
     _row_blocks,
     _scaled_rows,
     parse_criterion_order,
     region_label,
-    region_points,
 )
 from .models import ModelSpec, _as_points, intensity_many, regression_matrix
 
@@ -109,7 +109,7 @@ def verify_design(
     """Scan a region and report whether the design certifies as order-k optimal."""
     if not (0.0 < tol < math.inf):
         raise ValueError("tolerance must be finite and positive")
-    cand = region_points(region)
+    cand = _model_candidates(spec, region)
     if cand.shape[0] == 0:
         raise ValueError("verification region is empty")
     kernel = _SensitivityKernel(design, spec, k)
@@ -137,7 +137,7 @@ def _scan_rows(design: Design, spec: ModelSpec, k: float, region: Region):
     """(n, bound, rows) of a scan: every sensitivity is computed here, so any
     error is raised before a table is written; the n rows are built lazily,
     one row block at a time, by chaining each block's zip of columns."""
-    cand = region_points(region)
+    cand = _model_candidates(spec, region)
     n = cand.shape[0]
     if n == 0:
         raise ValueError("scan region is empty")

@@ -21,13 +21,13 @@ from .designs import (
     Design,
     Region,
     _EigenState,
+    _model_candidates,
     _nonsingular,
     _phi_from_eigenvalues,
     _scaled_rows,
     _symmetric_terms,
     canonical_point,
     parse_criterion_order,
-    region_points,
 )
 from .equivalence import VerificationReport, verify_design
 from .errors import ConvergenceError, CriterionOverflowError, SingularMatrixError
@@ -256,7 +256,7 @@ def optimize_design(
     k = parse_criterion_order(k)
     if math.isinf(k):
         raise ValueError("design search requires a finite criterion order")
-    cand = region_points(region)
+    cand = _model_candidates(spec, region)
     if cand.shape[0] == 0:
         raise ValueError("search region is empty")
     G_all = _scaled_rows(spec, cand)

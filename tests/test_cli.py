@@ -379,6 +379,28 @@ def test_non_finite_result_is_model_error(tmp_path):
     assert "beta=(0.0, 705.0)" in doc["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_saturated_a_construct_at_subnormal_intensity(tmp_path):
+    # u = e^-710 at (1, 0) and (0, 1) is a subnormal double; the A weights
+    # must still be finite, and those of the intercept 0
+    points = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    model = {"family": "poisson_log", "kind": "first_order_intercept", "nu": 2}
+    job = {
+        "task": "construct",
+        "constructor": "saturated_weights",
+        "model": model | {"beta": [-700.0, -10.0, -10.0]},
+        "criterion": {"k": 1},
+        "region": {"type": "finite_set", "points": points},
+    }
+    code, out = run_cli(tmp_path, job)
+    assert code == EXIT_OK, out
+    spec = glmdesign.ModelSpec(
+        glmdesign.poisson_log, glmdesign.first_order_intercept(2), (0.0, -10.0, -10.0)
+    )
+    ref = glmdesign.saturated_weights(spec, points, "A")
+    np.testing.assert_allclose(json.loads(out)["design"]["weights"], ref, rtol=1e-15)
+
+
 def test_non_finite_number_in_output_is_model_error(tmp_path, monkeypatch):
     # a non-finite number that reaches the output is refused, because strict
     # JSON cannot carry it

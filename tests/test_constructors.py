@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import glmdesign as g
 from glmdesign import constructors, optimize
-from glmdesign.constructors import _A_CASES_2FACTOR, _a_case_shortfall, _d_drop, _d_root
+from glmdesign.constructors import _d_drop, _d_root
 from glmdesign.designs import _EigenState, _scaled_rows
 
 SQUARE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
@@ -72,6 +72,17 @@ def test_saturated_weights_input_checks():
         g.saturated_weights(spec, [(0.0,), (0.5,), (1.0,)], "D")  # 3 points, p = 2
     with pytest.raises(ValueError):
         g.saturated_weights(spec, [(0.0,), (1.0,)], "E")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b0", [-700.0, -300.0, 300.0, 690.0])
+def test_saturated_a_weights_at_extreme_intercepts(b0):
+    # Poisson weights do not depend on the intercept; at b0 = -700 the corner
+    # (1, 0) has u = e^-710, a subnormal double, where c / u would overflow
+    support = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    ref = g.saturated_weights(poisson2((0.0, -10.0, -10.0)), support, "A")
+    w = g.saturated_weights(poisson2((b0, -10.0, -10.0)), support, "A")
+    np.testing.assert_allclose(w, ref, rtol=1e-15)
 
 
 def test_binary_two_point_design_matches_saturated():
@@ -684,11 +695,43 @@ def test_two_factor_swap_equivariance():
         np.testing.assert_allclose(w2[(x2, x1)], w, rtol=1e-9)
 
 
+SQRT2, SQRT3, SQRT23 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(2.0 / 3.0)
+
+# The paper's A cases on the corners of {0, 1}^2: (the corner left out, the
+# other three in order, their weight multipliers).  The weights are
+# proportional to mult * q, q = u^-1/2.
+A_CASES_2FACTOR = (
+    (0, (1, 2, 3), (SQRT2, SQRT2, SQRT3)),
+    (1, (0, 2, 3), (SQRT2, SQRT2, 1.0)),
+    (2, (0, 1, 3), (SQRT2, SQRT2, 1.0)),
+    (3, (0, 1, 2), (SQRT3, 1.0, 1.0)),
+)
+
+
+def a_case_shortfall(q, case):
+    """The paper's dominant-corner inequality of one A case, as its signed
+    slack: >= 0 exactly when that three-point design is A-optimal."""
+    q1, q2, q3, q4 = q
+    if case == 0:
+        rhs = q2 * q2 + q3 * q3 + q4 * q4 + q2 * q3 + 2.0 * SQRT23 * (q2 * q4 + q3 * q4)
+        return q1 * q1 - rhs
+    if case == 1:
+        rhs = q1 * q1 + q3 * q3 + q4 * q4 + q1 * q3 + SQRT2 * q3 * q4
+        return q2 * q2 - rhs
+    if case == 2:
+        rhs = q1 * q1 + q2 * q2 + q4 * q4 + q1 * q2 + SQRT2 * q2 * q4
+        return q3 * q3 - rhs
+    rhs = q1 * q1 + q2 * q2 + q3 * q3 + (2.0 / SQRT3) * (q1 * q2 + q1 * q3)
+    return q4 * q4 - rhs
+
+
 def test_two_factor_selectors_decide_certification():
     # each selector must agree with the equivalence theorem on the corners:
     # the D drop margin with the equal-weight design on the other three, and
     # each dominant-corner A shortfall with that case's three-point design;
-    # no seeded draw comes within 2e-4 (relative to sum 1/u) of a boundary
+    # no seeded draw comes within 2e-4 (relative to sum 1/u) of a boundary.
+    # The A constructor must pick the case the paper's inequalities pick,
+    # with its weights to the bit and its margin to 1e-12
     cube = g.BinaryHypercube(2)
     corners = np.asarray(SQUARE)
     held = [0] * 5
@@ -704,15 +747,57 @@ def test_two_factor_selectors_decide_certification():
             assert (margin >= 0.0) == rep.passed, (family.name, beta, margin)
             held[0] += margin >= 0.0
             q = 1.0 / np.sqrt(u)
-            for case, (_, others, mult) in enumerate(_A_CASES_2FACTOR):
+            built = g.two_factor_design(spec, "A")
+            shortfalls = [a_case_shortfall(q, case) for case in range(4)]
+            label, ref = "A-4pt-numeric", -max(shortfalls)
+            for case, (_, others, mult) in enumerate(A_CASES_2FACTOR):
                 w = np.asarray(mult) * q[list(others)]
                 three = g.Design.from_arrays(corners[list(others)], w / w.sum())
                 rep = g.verify_design(three, spec, 1.0, cube)
-                shortfall = _a_case_shortfall(q, case)
+                shortfall = shortfalls[case]
                 assert (shortfall >= 0.0) == rep.passed, (family.name, beta, case, shortfall)
                 held[case + 1] += shortfall >= 0.0
+                if shortfall >= 0.0 and label == "A-4pt-numeric":
+                    label, ref = f"A-3pt-drop{case + 1}", shortfall
+                    assert built.design == three, (family.name, beta, case)
+            assert built.case_label == label, (family.name, beta)
+            assert_margins_agree(built.condition_margin, ref)
     # every rule holds on some draws and fails on others
     assert all(0 < n < 1500 for n in held), held
+
+
+def a_case_crossover():
+    """t*_A of Poisson beta = (0, t, t): the A-3pt-drop4 inequality holds with
+    equality where s = e^(-t/2) solves s^4 = 1 + 2 s^2 + (4 / sqrt 3) s."""
+    with mpmath.workdps(50):
+        s = mpmath.findroot(lambda s: s**4 - 1 - 2 * s**2 - 4 / mpmath.sqrt(3) * s, 1.9)
+        return float(-2 * mpmath.log(s))
+
+
+def test_two_factor_a_case_boundary():
+    # the signed margin (three-point positive, four-point negated) changes
+    # sign at t*_A, and both cases certify just either side of it
+    t_star = a_case_crossover()
+    assert abs(t_star - -1.2573305458) < 1e-10
+
+    def signed_margin(t):
+        r = g.two_factor_design(poisson2((0.0, t, t)), "A")
+        return r.condition_margin if r.case_label.startswith("A-3pt") else -r.condition_margin
+
+    lo, hi = -2.0, -0.5
+    assert signed_margin(lo) > 0.0 > signed_margin(hi)
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if signed_margin(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert abs(0.5 * (lo + hi) - t_star) <= 1e-9, (lo, hi, t_star)
+    for t, label in ((t_star - 1e-8, "A-3pt-drop4"), (t_star + 1e-8, "A-4pt-numeric")):
+        spec = poisson2((0.0, t, t))
+        r = g.two_factor_design(spec, "A")
+        assert r.case_label == label and r.condition_ok, (t, r.case_label, r.condition_margin)
+        assert g.verify_design(r.design, spec, 1.0, g.BinaryHypercube(2)).passed, label
 
 
 def test_extreme_slopes_end_in_finite_designs_or_typed_errors():

@@ -120,6 +120,27 @@ POISSON_AXES = g.ModelSpec(g.poisson_log, g.first_order_no_intercept(2), (-3.0, 
 AXES = g.Design(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, region: g.verify_design(AXES, spec, 1.0, region),
+        lambda spec, region: g.sensitivity_scan(AXES, spec, 1.0, region),
+        lambda spec, region: g.optimize_design(spec, region, 1.0),
+        lambda spec, region: g.axis_design(spec, (1.0, 1.0), 0.5, region),
+    ],
+)
+@pytest.mark.parametrize("nu", [3, 1e300])
+def test_region_of_another_dimension_is_value_error(monkeypatch, call, nu):
+    # the dimensions are compared before any candidate is built: 2^(10^300)
+    # corners could not be listed
+    def unbuilt(self):
+        raise AssertionError("candidates built for a region of the wrong dimension")
+
+    monkeypatch.setattr(g.BinaryHypercube, "candidate_points", unbuilt)
+    with pytest.raises(ValueError, match="region has dimension"):
+        call(POISSON_AXES, g.BinaryHypercube(nu))
+
+
 def test_large_order_still_certifies():
     report = g.verify_design(AXES, POISSON_AXES, 50.0, g.BinaryHypercube(2))
     assert report.passed
