@@ -5,11 +5,9 @@ ConstructResult bundling the design with the case that fired and the signed
 slack of that case's governing inequality.  Results with condition_ok=True
 are certifiable through the equivalence theorem on the stated region; the
 slack is reported so callers can trace decisions near case boundaries.
-A weights on p spanning points come from one rule (_saturated_a): they are
-proportional to sqrt(c_i) / sqrt(u_i), c_i the sum of squares of column i of
-F^-1, for saturated_weights, the two-point and interval designs, the corner
-design and the three-point cases of two_factor_design alike; those cases are
-told apart by the equivalence theorem at the one corner each leaves out.
+A weights on p spanning points come from one rule (_saturated_a), for
+saturated_weights, the two-point, interval and corner designs and the
+three-point cases of two_factor_design alike.
 D weights on p + 1 points, all carrying mass, come from one bracketed root
 (_d_root) behind one drop rule (_d_drop), for fourpoint_d_weights and for
 the four-point case of two_factor_design alike, in scalar arithmetic.  The
@@ -74,8 +72,6 @@ _A_VALUE_RTOL = 1e-14
 D_CRITERION = "D"
 A_CRITERION = "A"
 
-_SQRT2 = math.sqrt(2.0)
-
 
 @dataclass(frozen=True)
 class ConstructResult:
@@ -124,14 +120,11 @@ def _require_kind(spec: ModelSpec, names: tuple[str, ...], what: str) -> None:
 
 
 def _saturated_a(F: np.ndarray, q: np.ndarray):
-    """A-optimal weights on p spanning points, with F^-1 and c.
-
-    F is the p x p regression matrix of the support, or a stack of them, and
-    q = u^-1/2 at its points.  The weights are proportional to sqrt(c_i) q_i,
-    c_i = ((F^-1)^T F^-1)_ii being the sum of squares of column i of F^-1
-    (Pukelsheim & Torsney 1991).  sqrt(c) q stays finite wherever u is a
-    positive double, where c / u would overflow for u near the least one.
-    """
+    """A-optimal weights on p spanning points, with F^-1 and c: F is the
+    p x p regression matrix of the support, or a stack of them, q = u^-1/2 at
+    its points, and the weights are proportional to sqrt(c_i) q_i, c_i the sum
+    of squares of column i of F^-1 (Pukelsheim & Torsney 1991).  sqrt(c) q is
+    finite for every positive double u, where c / u may overflow."""
     Finv = np.linalg.inv(F)
     c = (Finv * Finv).sum(axis=-2)
     w = np.sqrt(c) * q
@@ -434,7 +427,7 @@ def interval_boundary_design(spec: ModelSpec, criterion: str) -> ConstructResult
         label = "D-boundary"
     else:
         q = np.sqrt(qs)
-        lhs = q0s + q1s + _SQRT2 * q[0] * q[1]
+        lhs = q0s + q1s + math.sqrt(2.0) * q[0] * q[1]
         w = _saturated_a(regression_matrix(spec, ends), q)[0]
         label = "A-boundary"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -462,18 +455,14 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     drop rule holds (_d_drop), or four-point weights solving
     u_i w_i (1/3 - w_i) = c (_d_root), certified by the sensitivity reaching
     p = 3 at all four corners.
-    A: the saturated A weights (_saturated_a) on the three corners other
-    than some corner m, when the equivalence theorem holds at m, the one
-    corner they leave out.  With F_m the rows of those three corners, c_m
-    the column sums of squares of F_m^-1, q = u^-1/2 and
-    a_m = f(x_m)^T F_m^-1, the sensitivity at x_m over the bound is
-    u_m ||F_m^-1 (a_m q_-m / sqrt(c_m))||^2, so the margin
-    q_m^2 - ||F_m^-1 (a_m q_-m / sqrt(c_m))||^2 is >= 0 exactly when the
-    design certifies: the paper's four dominant-corner inequalities.  Each
-    needs its own corner to carry the strictly largest q, so at most one
-    holds.  When none does, four-point weights from Newton steps on the
-    Cauchy-Binet form tr M^-1 = e_2 / e_3 (_a_root) to a relative support
-    gap of 1e-12, with margin -max over m.
+    A: the saturated A design (_saturated_a) on the three corners other than
+    a corner m where it meets the equivalence theorem: with F_m their rows,
+    c_m the column sums of squares of F_m^-1, a_m = f(x_m)^T F_m^-1 and
+    q = u^-1/2, the margin q_m^2 - ||F_m^-1 (a_m q_-m / sqrt(c_m))||^2 is the
+    paper's dominant-corner inequality.  At most one holds, as each needs its
+    own corner to carry the largest q.  Otherwise four-point weights from
+    Newton steps on the Cauchy-Binet form tr M^-1 = e_2 / e_3 (_a_root) to a
+    relative support gap of 1e-12, with margin -max over m.
     """
     crit = _criterion(criterion)
     _require_kind(spec, (FIRST_ORDER_INTERCEPT,), "the two-factor design")
@@ -498,8 +487,7 @@ def two_factor_design(spec: ModelSpec, criterion: str) -> ConstructResult:
     q = 1.0 / np.sqrt(u)
     q3 = q[_OTHERS]
     w3, Finv, c = _saturated_a(F[_OTHERS], q3)
-    # a_m = f(x_m)^T F_m^-1; u_m ||v_m||^2 is the sensitivity over the bound
-    # of the three-point design at the corner m it leaves out
+    # u_m ||v_m||^2: the sensitivity over the bound at the corner left out
     a = np.matmul(F[:, None, :], Finv)
     v = np.matmul(Finv, (a[:, 0] * q3 / np.sqrt(c))[:, :, None])[:, :, 0]
     shortfalls = q * q - (v * v).sum(axis=1)

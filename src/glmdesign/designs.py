@@ -286,10 +286,14 @@ def region_points(region: Region) -> np.ndarray:
 
 def _model_candidates(spec: ModelSpec, region: Region) -> np.ndarray:
     """region_points for the model of spec: ValueError, before any point is
-    built, when the region's dimension is not the model's."""
+    built, when the region's dimension is not the model's, or after, when it
+    has no points."""
     if region.nu != spec.nu:
         raise ValueError(f"region has dimension {region.nu} but the model has nu = {spec.nu}")
-    return region_points(region)
+    cand = region_points(region)
+    if cand.shape[0] == 0:
+        raise ValueError("region is empty")
+    return cand
 
 
 def region_label(region: Region) -> str:

@@ -110,8 +110,6 @@ def verify_design(
     if not (0.0 < tol < math.inf):
         raise ValueError("tolerance must be finite and positive")
     cand = _model_candidates(spec, region)
-    if cand.shape[0] == 0:
-        raise ValueError("verification region is empty")
     kernel = _SensitivityKernel(design, spec, k)
     gaps = kernel.many(cand) - kernel.bound
     # candidates are lexicographically sorted, so the first argmax is the
@@ -139,8 +137,6 @@ def _scan_rows(design: Design, spec: ModelSpec, k: float, region: Region):
     one row block at a time, by chaining each block's zip of columns."""
     cand = _model_candidates(spec, region)
     n = cand.shape[0]
-    if n == 0:
-        raise ValueError("scan region is empty")
     kernel = _SensitivityKernel(design, spec, k)
     sens = kernel.many(cand)
     bound = kernel.bound

@@ -257,8 +257,6 @@ def optimize_design(
     if math.isinf(k):
         raise ValueError("design search requires a finite criterion order")
     cand = _model_candidates(spec, region)
-    if cand.shape[0] == 0:
-        raise ValueError("search region is empty")
     G_all = _scaled_rows(spec, cand)
     p = spec.p
 
