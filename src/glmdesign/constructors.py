@@ -119,7 +119,7 @@ def _require_kind(spec: ModelSpec, names: tuple[str, ...], what: str) -> None:
 # Weight-level closed forms
 
 
-def _saturated_a(F: np.ndarray, q: np.ndarray):
+def _saturated_a(F: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A-optimal weights on p spanning points, with F^-1 and c: F is the
     p x p regression matrix of the support, or a stack of them, q = u^-1/2 at
     its points, and the weights are proportional to sqrt(c_i) q_i, c_i the sum

@@ -128,6 +128,7 @@ AXES = g.Design(((1.0, 0.0), (0.0, 1.0)), (0.5, 0.5))
         lambda spec, region: g.optimize_design(spec, region, 1.0),
         lambda spec, region: g.axis_design(spec, (1.0, 1.0), 0.5, region),
     ],
+    ids=["verify_design", "sensitivity_scan", "optimize_design", "axis_design"],
 )
 @pytest.mark.parametrize("nu", [3, 1e300])
 def test_region_of_another_dimension_is_value_error(monkeypatch, call, nu):
