@@ -149,7 +149,22 @@ def _plain(value):
 
 
 class _RegionFields:
-    """A region's JSON descriptor is its TYPE plus its dataclass fields."""
+    """A region's JSON descriptor is its TYPE plus its dataclass fields.
+
+    Every region also knows its number of candidate points, ``size``,
+    without building any, and yields its candidates one _row_blocks(size)
+    slice at a time from ``candidate_blocks``.
+    """
+
+    def candidate_blocks(self):
+        """The candidate points, in order, one _row_blocks slice at a time.
+
+        This default slices candidate_points(); a region that can write its
+        points a block at a time overrides it.
+        """
+        pts = self.candidate_points()
+        for b in _row_blocks(len(pts)):
+            yield pts[b]
 
     def to_dict(self) -> dict:
         return {"type": self.TYPE, **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
@@ -181,6 +196,10 @@ class FiniteSet(_RegionFields):
     def nu(self) -> int:
         return len(self.points[0])
 
+    @property
+    def size(self) -> int:
+        return len(self.points)
+
     def label(self) -> str:
         return f"finite_set({len(self.points)} points)"
 
@@ -199,6 +218,10 @@ class BinaryHypercube(_RegionFields):
     def __post_init__(self) -> None:
         nu = _integer_at_least(self.nu, 1, "binary_hypercube needs a positive integer dimension")
         object.__setattr__(self, "nu", nu)
+
+    @property
+    def size(self) -> int:
+        return 2**self.nu
 
     def candidate_points(self) -> np.ndarray:
         corners = list(itertools.product((0.0, 1.0), repeat=self.nu))
@@ -235,14 +258,52 @@ class GridBox(_RegionFields):
     def nu(self) -> int:
         return len(self.lower)
 
+    @property
+    def size(self) -> int:
+        return math.prod(self.resolution)
+
     def candidate_points(self) -> np.ndarray:
-        # filled in place: meshgrid would first copy every axis to full length
-        nu = self.nu
-        pts = np.empty((math.prod(self.resolution), nu))
-        grid = pts.reshape(*self.resolution, nu)
-        for i, (lo, hi, n) in enumerate(zip(self.lower, self.upper, self.resolution)):
-            grid[..., i] = np.linspace(lo, hi, n).reshape((n,) + (1,) * (nu - 1 - i))
+        # the blocks written into one array, so that one rule makes every node
+        pts = np.empty((self.size, self.nu))
+        for b, block in zip(_row_blocks(self.size), self.candidate_blocks()):
+            pts[b] = block
         return pts
+
+    def candidate_blocks(self):
+        """The nodes of each _row_blocks slice in lexicographic order, written
+        into one reused C-ordered (m, nu) buffer; one axis yields views of its
+        np.linspace instead.
+
+        Node j takes entry (j // r) % n of the linspace of an axis of n nodes,
+        r being the number of nodes of the axes after it.  The last axis
+        (r = 1) is a slice of its linspace tiled to cover any block; every
+        other axis is np.repeat of its values with run lengths r, the first
+        and last run cut to the block.
+        """
+        axes = [np.linspace(lo, hi, n) for lo, hi, n in zip(self.lower, self.upper, self.resolution)]
+        blocks = _row_blocks(self.size)
+        if self.nu == 1:
+            column = axes[0][:, None]
+            for b in blocks:
+                yield column[b]
+            return
+        *leading, last = axes
+        runs = [math.prod(self.resolution[i + 1:]) for i in range(len(leading))]
+        longest = max(b.stop - b.start for b in blocks)
+        tiled = np.tile(last, 1 - (-(longest - 1) // last.size))
+        buf = np.empty((longest, self.nu))
+        for b in blocks:
+            start, stop = b.start, b.stop
+            out = buf[: stop - start]
+            for axis, r, column in zip(leading, runs, out.T):
+                q = np.arange(start // r, (stop - 1) // r + 1)
+                lengths = np.full(q.size, r)
+                lengths[0] -= start - q[0] * r
+                lengths[-1] -= (q[-1] + 1) * r - stop
+                column[...] = np.repeat(axis[q % axis.size], lengths)
+            offset = start % last.size
+            out[:, -1] = tiled[offset : offset + stop - start]
+            yield out
 
 
 @dataclass(frozen=True)
@@ -265,6 +326,10 @@ class AxisSet(_RegionFields):
     def nu(self) -> int:
         return len(self.a)
 
+    @property
+    def size(self) -> int:
+        return len(self.a)
+
     def candidate_points(self) -> np.ndarray:
         return _lexsorted(np.diag(np.asarray(self.a, dtype=float)))
 
@@ -284,16 +349,22 @@ def region_points(region: Region) -> np.ndarray:
     return region.candidate_points()
 
 
-def _model_candidates(spec: ModelSpec, region: Region) -> np.ndarray:
-    """region_points for the model of spec: ValueError, before any point is
-    built, when the region's dimension is not the model's, or after, when it
-    has no points."""
+def _model_size(spec: ModelSpec, region: Region) -> int:
+    """The region's number of candidate points, found without building any:
+    ValueError when the region's dimension is not the model's of spec, or
+    when it has no points."""
     if region.nu != spec.nu:
         raise ValueError(f"region has dimension {region.nu} but the model has nu = {spec.nu}")
-    cand = region_points(region)
-    if cand.shape[0] == 0:
+    n = region.size
+    if n == 0:
         raise ValueError("region is empty")
-    return cand
+    return n
+
+
+def _model_candidates(spec: ModelSpec, region: Region) -> np.ndarray:
+    """region_points for the model of spec, after the checks of _model_size."""
+    _model_size(spec, region)
+    return region_points(region)
 
 
 def region_label(region: Region) -> str:
@@ -428,27 +499,44 @@ class _EigenState:
         already, so there is no u to apply (None)."""
         return X, None
 
-    def scores(self, X: np.ndarray) -> np.ndarray:
-        """Sensitivities u ||B^T f||^2 of the inputs X, ROW_BLOCK rows at a time.
+    def scored_blocks(self, blocks, out: np.ndarray | None = None):
+        """Yield (X, s) for each block X of inputs, s its sensitivities
+        u ||B^T f||^2.
 
-        Each block forms FB = F B, sums its squares into the block's slice of
-        the output (_squared_row_norms) and scales that slice by u in place,
-        so a block allocates only FB.  The first block whose _rows raises
-        decides the error; overflow is tested once every block has run.
+        s is the next len(X) entries of out, or without out the head of one
+        reused buffer of ROW_BLOCK entries, so blocks must then hold at most
+        ROW_BLOCK rows.  Each block forms FB = F B, sums its squares into s
+        (_squared_row_norms) and scales s by u in place, so a block allocates
+        only FB.  The first block whose _rows raises decides the error;
+        overflow is raised once every block has run.
         """
-        sens = np.empty(X.shape[0])
-        for b in _row_blocks(X.shape[0]):
-            F, u = self._rows(X[b])
-            out = sens[b]
+        reuse = out is None
+        if reuse:
+            out = np.empty(ROW_BLOCK)
+        start, overflow = 0, False
+        for X in blocks:
+            s = out[start : start + X.shape[0]]
+            if not reuse:
+                start += X.shape[0]
+            F, u = self._rows(X)
             with np.errstate(over="ignore", invalid="ignore"):
-                _squared_row_norms(F @ self.B, out)
+                _squared_row_norms(F @ self.B, s)
                 if u is not None:
-                    out *= u
-        # sensitivities are never negative, and a NaN fails the comparison
-        if sens.size and not sens.max() < math.inf:
+                    s *= u
+            # sensitivities are never negative, and a NaN fails the comparison
+            overflow = overflow or (s.size > 0 and not s.max() < math.inf)
+            yield X, s
+        if overflow:
             raise CriterionOverflowError(
                 f"sensitivity overflows at order k={self.k!r} on some candidate point"
             )
+
+    def scores(self, X: np.ndarray) -> np.ndarray:
+        """Sensitivities of the inputs X, scored ROW_BLOCK rows at a time
+        into one output array by scored_blocks."""
+        sens = np.empty(X.shape[0])
+        for _ in self.scored_blocks((X[b] for b in _row_blocks(X.shape[0])), sens):
+            pass
         return sens
 
 

@@ -24,6 +24,7 @@ from .designs import (
     Region,
     _EigenState,
     _model_candidates,
+    _model_size,
     _row_blocks,
     _scaled_rows,
     parse_criterion_order,
@@ -81,7 +82,9 @@ class _SensitivityKernel(_EigenState):
         self.spec = spec
 
     def _rows(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return regression_matrix(self.spec, pts), intensity_many(self.spec, pts)
+        # without an intercept f(x) = x: the points are the rows, only read
+        F = regression_matrix(self.spec, pts) if self.spec.kind.intercept else pts
+        return F, intensity_many(self.spec, pts)
 
     def many(self, pts) -> np.ndarray:
         return self.scores(_as_points(self.spec, pts))
@@ -106,28 +109,38 @@ def verify_design(
     region: Region,
     tol: float = DEFAULT_TOLERANCE,
 ) -> VerificationReport:
-    """Scan a region and report whether the design certifies as order-k optimal."""
+    """Scan a region and report whether the design certifies as order-k optimal.
+
+    The candidates are built, scored and reduced one row block at a time, so
+    no array of the region's size is held: each block's gaps are taken in
+    place and its worst one kept when it is strictly worse than every
+    earlier block's.  Candidates come in lexicographic order, so the
+    reported worst point is the lexicographically smallest worst point.
+    """
     if not (0.0 < tol < math.inf):
         raise ValueError("tolerance must be finite and positive")
-    cand = _model_candidates(spec, region)
+    n = _model_size(spec, region)
     kernel = _SensitivityKernel(design, spec, k)
-    gaps = kernel.many(cand) - kernel.bound
-    # candidates are lexicographically sorted, so the first argmax is the
-    # lexicographically smallest worst point
-    idx = int(np.argmax(gaps))
-    support_sens = kernel.many(design.point_array)
-    residuals = np.abs(support_sens - kernel.bound)
-    limit = tol * kernel.bound
-    passed = bool(gaps[idx] <= limit and (residuals <= limit).all())
+    bound = kernel.bound
+    worst_gap, worst_point = -math.inf, ()
+    for X, gaps in kernel.scored_blocks(region.candidate_blocks()):
+        gaps -= bound
+        i = int(np.argmax(gaps))
+        if gaps[i] > worst_gap:
+            # X may be a buffer the next block overwrites
+            worst_gap, worst_point = float(gaps[i]), tuple(X[i].tolist())
+    residuals = np.abs(kernel.many(design.point_array) - bound)
+    limit = tol * bound
+    passed = bool(worst_gap <= limit and (residuals <= limit).all())
     return VerificationReport(
-        bound=kernel.bound,
-        worst_gap=float(gaps[idx]),
-        worst_point=tuple(float(c) for c in cand[idx]),
+        bound=bound,
+        worst_gap=worst_gap,
+        worst_point=worst_point,
         support_residuals=tuple(float(r) for r in residuals),
         passed=passed,
         tolerance=float(tol),
         region=region_label(region),
-        candidates=int(cand.shape[0]),
+        candidates=n,
     )
 
 

@@ -86,11 +86,13 @@ def _poisson_u(eta):
 
 
 def _gamma_u(eta):
-    # eta**-2 overflows to inf for 0 < eta < ~1e-154 and divides by zero at 0;
-    # intensity_many turns either into a DomainError naming the point
+    # 1 / eta^2 overflows to inf for 0 < eta < ~1e-154 and divides by zero at
+    # 0; intensity_many turns either into a DomainError naming the point.  Two
+    # divisions, not eta ** -2.0, which calls pow per element; 1 / (eta * eta)
+    # would lose the subnormal u of eta above ~1.3e154 to an overflowed eta^2
     eta = np.asarray(eta, dtype=float)
     with np.errstate(divide="ignore", over="ignore"):
-        return eta ** -2.0
+        return 1.0 / eta / eta
 
 
 def _linear_u(eta):

@@ -233,6 +233,7 @@ def test_region_of_another_dimension_is_schema_error(tmp_path, monkeypatch, task
         raise AssertionError("candidates built for a region of the wrong dimension")
 
     monkeypatch.setattr(designs.BinaryHypercube, "candidate_points", never)
+    monkeypatch.setattr(designs.BinaryHypercube, "candidate_blocks", never)
     cfg = dict(REGION_MODEL_MISMATCH, task=task, region={"type": "binary_hypercube", "nu": nu})
     code, out = run_cli(tmp_path, cfg, extra=["--out", str(tmp_path / "scan.csv")])
     assert code == EXIT_SCHEMA

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
+from glmdesign import designs
 from glmdesign.designs import _canonical_keys, region_label
 from glmdesign.errors import SingularMatrixError
 
@@ -129,6 +130,34 @@ def test_grid_box_points_match_meshgrid(lower, upper, resolution):
     want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     np.testing.assert_array_equal(pts, want)
     assert pts.flags.c_contiguous
+
+
+@given(
+    resolution=st.lists(st.integers(2, 40), min_size=1, max_size=3).filter(
+        lambda r: math.prod(r) <= 4000
+    ),
+    lower=st.floats(-3.0, 3.0),
+    width=st.floats(0.01, 5.0),
+    block=st.integers(2, 64),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_box_blocks_are_slices_of_its_points(resolution, lower, width, block):
+    lower = [lower + i for i in range(len(resolution))]
+    region = g.GridBox(lower, [lo + width for lo in lower], resolution)
+    axes = [np.linspace(lo, lo + width, n) for lo, n in zip(lower, resolution)]
+    want = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(designs, "ROW_BLOCK", block)
+        pts = region.candidate_points()
+        # a block is a buffer the next one may overwrite: compare it at once
+        slices = designs._row_blocks(region.size)
+        count = 0
+        for b, nodes in zip(slices, region.candidate_blocks()):
+            assert nodes.shape == (b.stop - b.start, region.nu) and nodes.flags.c_contiguous
+            assert nodes.tobytes() == pts[b].tobytes() == want[b].tobytes()
+            count += 1
+    assert count == len(slices)
+    assert pts.tobytes() == want.tobytes()
 
 
 def test_binary_hypercube_enumeration():

@@ -3,10 +3,11 @@
 import io
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
@@ -138,6 +139,7 @@ def test_region_of_another_dimension_is_value_error(monkeypatch, call, nu):
         raise AssertionError("candidates built for a region of the wrong dimension")
 
     monkeypatch.setattr(g.BinaryHypercube, "candidate_points", unbuilt)
+    monkeypatch.setattr(g.BinaryHypercube, "candidate_blocks", unbuilt)
     with pytest.raises(ValueError, match="region has dimension"):
         call(POISSON_AXES, g.BinaryHypercube(nu))
 
@@ -411,6 +413,116 @@ def test_no_block_evaluates_more_than_row_block_rows(monkeypatch):
         with pytest.raises(DomainError, match=r"point \(2\.5,\)"):
             call(GAMMA_DESIGN, GAMMA, 1.0, region)
         assert len(seen) == 6 and max(seen) <= BLOCK, seen
+
+
+def _one_pass_report(design, spec, k, region, tol):
+    """verify_design as one pass: every candidate's gap in one array, then
+    its first argmax."""
+    cand = g.region_points(region)
+    bound = _SensitivityKernel(design, spec, k).bound
+    gaps = _full_scores(design, spec, k, cand) - bound
+    i = int(np.argmax(gaps))
+    residuals = np.abs(_full_scores(design, spec, k, design.point_array) - bound)
+    limit = tol * bound
+    return equivalence.VerificationReport(
+        bound=bound,
+        worst_gap=float(gaps[i]),
+        worst_point=tuple(float(c) for c in cand[i]),
+        support_residuals=tuple(float(r) for r in residuals),
+        passed=bool(gaps[i] <= limit and (residuals <= limit).all()),
+        tolerance=tol,
+        region=region.label(),
+        candidates=len(cand),
+    )
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:  # every error of the package is one
+        return type(exc), str(exc)
+
+
+def _small_grid(resolutions):
+    return st.lists(resolutions, min_size=1, max_size=3).filter(lambda r: math.prod(r) <= 4000)
+
+
+@st.composite
+def _verify_problem(draw):
+    """A design, model, order, region and tolerance.  Without an intercept
+    f(-x) = -f(x), and the logistic, probit and linear u are even in eta, so
+    on a set closed under negation (the clouds, and grids whose nodes are the
+    integers -m..m) those models have exact ties in the worst gap."""
+    region_kind = draw(st.sampled_from(["grid", "integer_grid", "cloud", "axis", "hypercube"]))
+    if region_kind == "grid":
+        res = draw(_small_grid(st.integers(2, 40)))
+        lower = [draw(st.floats(-2.0, 0.0)) for _ in res]
+        region = g.GridBox(lower, [lo + draw(st.floats(0.5, 3.0)) for lo in lower], res)
+    elif region_kind == "integer_grid":
+        m = draw(_small_grid(st.integers(1, 6)))
+        region = g.GridBox([-float(v) for v in m], [float(v) for v in m], [2 * v + 1 for v in m])
+    elif region_kind == "cloud":
+        nu, n, seed = draw(st.integers(1, 3)), draw(st.integers(1, 60)), draw(st.integers(0, 2**16))
+        pts = np.random.default_rng(seed).uniform(-2.0, 2.0, (n, nu))
+        region = g.FiniteSet(tuple(map(tuple, np.concatenate([pts, -pts]))))
+    elif region_kind == "axis":
+        region = g.AxisSet([draw(st.floats(0.25, 3.0)) for _ in range(draw(st.integers(1, 3)))])
+    else:
+        region = g.BinaryHypercube(draw(st.integers(1, 3)))
+    nu = region.nu
+    intercept = draw(st.booleans())
+    kind = g.first_order_intercept(nu) if intercept else g.first_order_no_intercept(nu)
+    family = draw(st.sampled_from([g.logistic, g.probit, g.poisson_log, g.linear_identity]))
+    beta = [draw(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0])) for _ in range(kind.p)]
+    spec = g.ModelSpec(family, kind, tuple(beta))
+    axes = [tuple(float(i == j) for j in range(nu)) for i in range(nu)]
+    support = [(0.0,) * nu] + axes if intercept else axes
+    raw = np.array([draw(st.integers(1, 4)) for _ in support], dtype=float)
+    design = g.Design(tuple(support), tuple(raw / raw.sum()))
+    k = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    tol = draw(st.sampled_from([1e-7, 1.0, 100.0]))
+    return design, spec, k, region, tol
+
+
+@given(problem=_verify_problem(), block=st.integers(2, 64))
+@settings(max_examples=150, deadline=None)
+def test_streamed_report_equals_one_pass(problem, block):
+    design, spec, k, region, tol = problem
+    # _row_blocks keeps two rows in every block only for ROW_BLOCK >= 4, and
+    # a one-row product rounds differently from a whole-array one for p >= 4
+    assume(block >= 4 or spec.p < 4)
+    whole = _outcome(lambda: _one_pass_report(design, spec, k, region, tol))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(designs, "ROW_BLOCK", block)
+        streamed = _outcome(lambda: g.verify_design(design, spec, k, region, tol))
+    assert streamed == whole
+
+
+def test_worst_point_tie_across_blocks_is_the_smallest(small_blocks):
+    # u = 1 and f(x) = x: the gap is largest at -2 and at 2, which fall in
+    # the two blocks of the five candidates
+    spec = g.ModelSpec(g.linear_identity, g.first_order_no_intercept(1), (1.0,))
+    region = g.FiniteSet(((2.0,), (-1.0,), (0.0,), (1.0,), (-2.0,)))
+    report = g.verify_design(g.Design(((1.0,),), (1.0,)), spec, 1.0, region)
+    assert report.worst_point == (-2.0,)
+    assert report.worst_gap == 3.0
+    assert report.candidates == 5
+
+
+def test_grid_verify_holds_no_array_of_the_grid_size():
+    # a one-pass verify of 10^6 nodes held the candidates, the sensitivities
+    # and the gaps: about 25 MB traced at its peak
+    spec = g.ModelSpec(g.gamma_inverse, g.first_order_intercept(2), (1.0, 0.5, 0.5))
+    design = g.Design(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), (0.4, 0.3, 0.3))
+    region = g.GridBox((0.0, 0.0), (1.0, 1.0), (1000, 1000))
+    tracemalloc.start()
+    try:
+        report = g.verify_design(design, spec, 1.0, region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.candidates == 10**6
+    assert peak < 2_000_000, peak
 
 
 # ------------------------------------------------------------ scan tables

@@ -8,6 +8,7 @@ assembled from first principles rather than from the shipped formulas.
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,22 @@ FAMILIES = {
     "gamma_inverse": g.gamma_inverse,
     "linear_identity": g.linear_identity,
 }
+
+
+def test_gamma_intensity_is_within_two_ulp_of_exact():
+    # 1 / eta / eta rounds twice; the exact 1 / eta^2 of a double is a Fraction
+    eta = 10.0 ** np.random.default_rng(20).uniform(-150.0, 150.0, 2000)
+    u = g.gamma_inverse.intensity_of_eta(eta)
+    for e, v in zip(eta.tolist(), u.tolist()):
+        exact = 1 / Fraction(e) ** 2
+        assert abs(Fraction(v) - exact) <= 2 * Fraction(math.ulp(float(exact))), e
+
+
+def test_gamma_intensity_keeps_its_range_ends():
+    # eta^2 overflows above ~1.3e154, 1 / eta^2 not until ~1.5e162
+    eta = np.array([1e-155, 1e-154, 1e154, 2e154, 1e160, 1e163])
+    want = [math.inf, 1e308, 1e-308, 2.5e-309, 1e-320, 0.0]
+    np.testing.assert_allclose(g.gamma_inverse.intensity_of_eta(eta), want, rtol=1e-14)
 
 
 def _numeric_intensity(name, eta, h=1e-6):
