@@ -31,7 +31,7 @@ from .designs import (
     BinaryHypercube,
     Design,
     Region,
-    _model_candidates,
+    _model_size,
     _symmetric_terms,
     parse_criterion_order,
 )
@@ -42,6 +42,7 @@ from .models import (
     FIRST_ORDER_NO_INTERCEPT,
     SINGLE_FACTOR_INTERCEPT,
     ModelSpec,
+    _as_points,
     _integer_at_least,
     gamma_inverse,
     intensity_many,
@@ -96,11 +97,14 @@ def _result(design: Design, label: str, margin: float) -> ConstructResult:
     return ConstructResult(design, label, margin >= CONDITION_SLACK, margin)
 
 
-def _kernel_margin(design: Design, spec: ModelSpec, k: float, cand: np.ndarray) -> float:
-    """min over the candidates of 1 - d(x)/bound, the equivalence theorem's
-    relative slack: >= 0 exactly when the design is order-k optimal on them."""
+def _kernel_margin(design: Design, spec: ModelSpec, k: float, region: Region) -> float:
+    """min over the region of 1 - d(x)/bound, the equivalence theorem's
+    relative slack: >= 0 exactly when the design is order-k optimal on it.
+    Only each candidate block's largest sensitivity is kept."""
+    _model_size(spec, region)
     kernel = _SensitivityKernel(design, spec, k)
-    return 1.0 - float(kernel.many(cand).max()) / kernel.bound
+    worst = max(float(s.max()) for _, s in kernel.scored_blocks(region.candidate_blocks()))
+    return 1.0 - worst / kernel.bound
 
 
 def _criterion(value: str) -> str:
@@ -131,6 +135,16 @@ def _saturated_a(F: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return w / w.sum(axis=-1, keepdims=True), Finv, c
 
 
+def _spanning_weights(spec: ModelSpec, pts: np.ndarray, crit: str, F=None) -> np.ndarray:
+    """Optimal weights on p spanning points: 1/p each for D, _saturated_a
+    for A on their regression matrix F (built here unless given)."""
+    p = pts.shape[0]
+    if crit == D_CRITERION:
+        return np.full(p, 1.0 / p)
+    F = regression_matrix(spec, pts) if F is None else F
+    return _saturated_a(F, 1.0 / np.sqrt(intensity_many(spec, pts)))[0]
+
+
 def saturated_weights(spec: ModelSpec, points, criterion: str) -> np.ndarray:
     """Optimal weights on exactly p spanning points.
 
@@ -139,9 +153,7 @@ def saturated_weights(spec: ModelSpec, points, criterion: str) -> np.ndarray:
     matrix F of the support (_saturated_a).
     """
     crit = _criterion(criterion)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(spec, points)
     p = spec.p
     if pts.shape[0] != p:
         raise ValueError(f"saturated support needs exactly p={p} points, got {pts.shape[0]}")
@@ -149,9 +161,7 @@ def saturated_weights(spec: ModelSpec, points, criterion: str) -> np.ndarray:
     sv = np.linalg.svd(F, compute_uv=False)
     if abs(float(np.prod(sv))) <= 1e-12 * float(sv[0]) ** p:
         raise ValueError("saturated support is numerically rank deficient")
-    if crit == D_CRITERION:
-        return np.full(p, 1.0 / p)
-    return _saturated_a(F, 1.0 / np.sqrt(intensity_many(spec, pts)))[0]
+    return _spanning_weights(spec, pts, crit, F)
 
 
 def fourpoint_d_weights(spec: ModelSpec, points) -> np.ndarray:
@@ -164,9 +174,7 @@ def fourpoint_d_weights(spec: ModelSpec, points) -> np.ndarray:
     root (_d_root).  Raises ValueError when some d_j is zero, or when the
     drop rule (_d_drop) puts the optimum on p of the points.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(spec, points)
     p = spec.p
     if pts.shape[0] != p + 1:
         raise ValueError(f"expected exactly p + 1 = {p + 1} points, got {pts.shape[0]}")
@@ -344,6 +352,14 @@ def _a_root(G: np.ndarray) -> list[float]:
     )
 
 
+def _axis_support(spec: ModelSpec, a) -> tuple[np.ndarray, np.ndarray]:
+    """The scales a as a checked vector of length nu, and the support diag(a)."""
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if a.shape != (spec.nu,) or (a <= 0.0).any() or not np.isfinite(a).all():
+        raise ValueError("axis scales must be a positive vector of length nu")
+    return a, np.diag(a)
+
+
 def phik_axis_weights(spec: ModelSpec, a, k: float) -> np.ndarray:
     """Order-k optimal weights on the axis support {a_i e_i}.
 
@@ -352,10 +368,7 @@ def phik_axis_weights(spec: ModelSpec, a, k: float) -> np.ndarray:
     """
     k = parse_criterion_order(k)
     _require_kind(spec, (FIRST_ORDER_NO_INTERCEPT,), "axis weighting")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape != (spec.nu,) or (a <= 0.0).any() or not np.isfinite(a).all():
-        raise ValueError("axis scales must be a positive vector of length nu")
-    pts = np.diag(a)
+    a, pts = _axis_support(spec, a)
     u = intensity_many(spec, pts)
     expo = -1.0 if math.isinf(k) else -k / (k + 1.0)
     t = (a * a * u) ** expo
@@ -375,12 +388,7 @@ def binary_two_point_design(spec: ModelSpec, a: float, b: float, criterion: str)
     if a == b:
         raise ValueError("the two support points must differ")
     pts = np.array([[a], [b]])
-    if crit == D_CRITERION:
-        w = np.array([0.5, 0.5])
-    else:
-        q = 1.0 / np.sqrt(intensity_many(spec, pts))
-        w = _saturated_a(regression_matrix(spec, pts), q)[0]
-    return Design.from_arrays(pts, w)
+    return Design.from_arrays(pts, _spanning_weights(spec, pts, crit))
 
 
 # (1/u)'' in the linear predictor, in closed form for the builtin families
@@ -512,14 +520,9 @@ def corner_design_multifactor(spec: ModelSpec, criterion: str) -> ConstructResul
     if nu < 2:
         raise ValueError("the corner design needs at least two factors")
     support = np.vstack([np.zeros(nu), np.eye(nu)])
-    if crit == D_CRITERION:
-        w = np.full(nu + 1, 1.0 / (nu + 1.0))
-    else:
-        q = 1.0 / np.sqrt(intensity_many(spec, support))
-        w = _saturated_a(regression_matrix(spec, support), q)[0]
-    design = Design.from_arrays(support, w)
-    corners = np.asarray(list(itertools.product((0.0, 1.0), repeat=nu)))
-    margin = _kernel_margin(design, spec, 0.0 if crit == D_CRITERION else 1.0, corners)
+    design = Design.from_arrays(support, _spanning_weights(spec, support, crit))
+    k = 0.0 if crit == D_CRITERION else 1.0
+    margin = _kernel_margin(design, spec, k, BinaryHypercube(nu))
     return _result(design, f"{crit}-corner", margin)
 
 
@@ -537,10 +540,7 @@ def axis_design(
     """
     k = parse_criterion_order(k)
     _require_kind(spec, (FIRST_ORDER_NO_INTERCEPT,), "the axis design")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if a.shape != (spec.nu,) or (a <= 0.0).any() or not np.isfinite(a).all():
-        raise ValueError("axis scales must be a positive vector of length nu")
-    pts = np.diag(a)
+    a, pts = _axis_support(spec, a)
 
     if spec.family is gamma_inverse:
         beta = np.asarray(spec.beta)
@@ -571,13 +571,12 @@ def axis_design(
 
     if region is None:
         raise ValueError("the general axis condition needs a finite region to scan")
-    cand = _model_candidates(spec, region)
     if math.isinf(k):
         # on these weights d(x)/bound = u(x) sum_i x_i^2 / (a_i^2 u_i) at
         # every finite k: k = inf reports that limit, taken at k = 0
         equal = Design.from_arrays(pts, phik_axis_weights(spec, a, 0.0))
-        return _result(design, "axis-general", _kernel_margin(equal, spec, 0.0, cand))
-    return _result(design, "axis-general", _kernel_margin(design, spec, k, cand))
+        return _result(design, "axis-general", _kernel_margin(equal, spec, 0.0, region))
+    return _result(design, "axis-general", _kernel_margin(design, spec, k, region))
 
 
 def _even_a_upper_layer_mass(nu: int) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import CriterionOverflowError, SingularMatrixError
-from .models import ModelSpec, _integer_at_least, intensity_many, regression_matrix
+from .models import ModelSpec, _as_points, _integer_at_least, intensity_many, regression_matrix
 
 # Two coordinates are the same point when they agree after rounding to this
 # many significant digits.
@@ -65,6 +65,14 @@ def parse_criterion_order(value) -> float:
     k = float(value)
     if math.isnan(k) or k < 0.0:
         raise ValueError("criterion order k must be a real number in [0, inf]")
+    return k
+
+
+def _finite_order(value, message: str) -> float:
+    """parse_criterion_order, with ValueError(message) for k = inf."""
+    k = parse_criterion_order(value)
+    if math.isinf(k):
+        raise ValueError(message)
     return k
 
 
@@ -176,7 +184,7 @@ class _RegionFields:
 
 @dataclass(frozen=True)
 class FiniteSet(_RegionFields):
-    """An explicit finite list of candidate points."""
+    """An explicit finite list of points, sorted once into its candidates."""
 
     TYPE = "finite_set"
 
@@ -191,6 +199,7 @@ class FiniteSet(_RegionFields):
         if not np.isfinite(pts).all():
             raise ValueError("finite_set points must be finite")
         object.__setattr__(self, "points", tuple(map(tuple, pts)))
+        object.__setattr__(self, "_sorted", _lexsorted(pts))
 
     @property
     def nu(self) -> int:
@@ -204,7 +213,7 @@ class FiniteSet(_RegionFields):
         return f"finite_set({len(self.points)} points)"
 
     def candidate_points(self) -> np.ndarray:
-        return _lexsorted(np.asarray(self.points, dtype=float))
+        return self._sorted.copy()
 
 
 @dataclass(frozen=True)
@@ -224,8 +233,9 @@ class BinaryHypercube(_RegionFields):
         return 2**self.nu
 
     def candidate_points(self) -> np.ndarray:
-        corners = list(itertools.product((0.0, 1.0), repeat=self.nu))
-        return np.asarray(corners, dtype=float)
+        # row j holds the bits of j, most significant first
+        nu = self.nu
+        return ((np.arange(2**nu)[:, None] >> np.arange(nu - 1, -1, -1)) & 1).astype(float)
 
 
 @dataclass(frozen=True)
@@ -361,12 +371,6 @@ def _model_size(spec: ModelSpec, region: Region) -> int:
     return n
 
 
-def _model_candidates(spec: ModelSpec, region: Region) -> np.ndarray:
-    """region_points for the model of spec, after the checks of _model_size."""
-    _model_size(spec, region)
-    return region_points(region)
-
-
 def region_label(region: Region) -> str:
     return region.label()
 
@@ -410,9 +414,10 @@ def weighted_information(spec: ModelSpec, points, weights) -> np.ndarray:
 
     Positively homogeneous of degree one in the weights; ``information_matrix``
     is this accumulator applied to a Design's probability weights.  Weights
-    must be finite, nonnegative and one per point.
+    must be finite, nonnegative and one per point; points are read as
+    intensity_many reads them.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _as_points(spec, points)
     w = np.asarray(weights, dtype=float)
     if w.shape != (pts.shape[0],) or not np.isfinite(w).all() or (w < 0.0).any():
         raise ValueError("weights must be finite, nonnegative and one per point")

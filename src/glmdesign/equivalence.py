@@ -23,11 +23,10 @@ from .designs import (
     Design,
     Region,
     _EigenState,
-    _model_candidates,
+    _finite_order,
     _model_size,
     _row_blocks,
     _scaled_rows,
-    parse_criterion_order,
     region_label,
 )
 from .models import ModelSpec, _as_points, intensity_many, regression_matrix
@@ -75,9 +74,7 @@ class _SensitivityKernel(_EigenState):
     """Sensitivity evaluator for one (design, spec, k) triple."""
 
     def __init__(self, design: Design, spec: ModelSpec, k: float):
-        k = parse_criterion_order(k)
-        if math.isinf(k):
-            raise ValueError("equivalence certification is defined for finite order k only")
+        k = _finite_order(k, "equivalence certification is defined for finite order k only")
         super().__init__(_scaled_rows(spec, design.point_array), design.weight_array, k)
         self.spec = spec
 
@@ -145,17 +142,18 @@ def verify_design(
 
 
 def _scan_rows(design: Design, spec: ModelSpec, k: float, region: Region):
-    """(n, bound, rows) of a scan: every sensitivity is computed here, so any
-    error is raised before a table is written; the n rows are built lazily,
-    one row block at a time, by chaining each block's zip of columns."""
-    cand = _model_candidates(spec, region)
-    n = cand.shape[0]
+    """(n, bound, rows) of a scan: a first pass over the region's blocks
+    scores all n sensitivities, so any error is raised before a table is
+    written; a second pass builds the rows lazily, one block's zip at a time."""
+    n = _model_size(spec, region)
     kernel = _SensitivityKernel(design, spec, k)
-    sens = kernel.many(cand)
+    sens = np.empty(n)
+    for _ in kernel.scored_blocks(region.candidate_blocks(), sens):
+        pass
     bound = kernel.bound
     rows = itertools.chain.from_iterable(
-        zip(zip(*cand[b].T.tolist()), sens[b].tolist(), itertools.repeat(bound))
-        for b in _row_blocks(n)
+        zip(zip(*X.T.tolist()), sens[b].tolist(), itertools.repeat(bound))
+        for X, b in zip(region.candidate_blocks(), _row_blocks(n))
     )
     return n, bound, rows
 

@@ -21,17 +21,19 @@ from .designs import (
     Design,
     Region,
     _EigenState,
-    _model_candidates,
+    _finite_order,
+    _model_size,
     _nonsingular,
     _phi_from_eigenvalues,
     _scaled_rows,
     _symmetric_terms,
     canonical_point,
     parse_criterion_order,
+    region_points,
 )
 from .equivalence import VerificationReport, verify_design
 from .errors import ConvergenceError, CriterionOverflowError, SingularMatrixError
-from .models import ModelSpec, _integer_at_least
+from .models import ModelSpec, _as_points, _integer_at_least
 
 # Armijo constant: a step must realize this share of its predicted decrease.
 ARMIJO = 1e-4
@@ -81,11 +83,9 @@ class DesignSearchResult:
 
 
 def _as_support(spec: ModelSpec, points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] != spec.nu:
-        raise ValueError(f"support must be a nonempty list of {spec.nu}-dimensional points")
+    pts = _as_points(spec, points)
+    if pts.shape[0] == 0:
+        raise ValueError("support must be a nonempty list of points")
     return pts
 
 
@@ -224,9 +224,7 @@ def optimize_weights(
     so it may have fewer points than ``points``.
     """
     opts = opts or OptimizerOptions()
-    k = parse_criterion_order(k)
-    if math.isinf(k):
-        raise ValueError("weight optimization requires a finite criterion order")
+    k = _finite_order(k, "weight optimization requires a finite criterion order")
     pts = _as_support(spec, points)
     G = _scaled_rows(spec, pts)
     w0 = np.full(pts.shape[0], 1.0 / pts.shape[0])
@@ -253,10 +251,10 @@ def optimize_design(
     report.
     """
     opts = opts or OptimizerOptions()
-    k = parse_criterion_order(k)
-    if math.isinf(k):
-        raise ValueError("design search requires a finite criterion order")
-    cand = _model_candidates(spec, region)
+    k = _finite_order(k, "design search requires a finite criterion order")
+    # the only whole-region array: every outer step rescores all its rows
+    _model_size(spec, region)
+    cand = region_points(region)
     G_all = _scaled_rows(spec, cand)
     p = spec.p
 

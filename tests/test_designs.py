@@ -1,5 +1,6 @@
 """Design container, regions, information matrices, and criterion values."""
 
+import itertools
 import json
 import math
 
@@ -167,11 +168,22 @@ def test_binary_hypercube_enumeration():
     np.testing.assert_array_equal(pts[0], [0, 0, 0])
     np.testing.assert_array_equal(pts[-1], [1, 1, 1])
     assert len({tuple(r) for r in pts}) == 8
+    # the bits of each row index are the corners itertools.product lists
+    for nu in range(1, 11):
+        want = np.asarray(list(itertools.product((0.0, 1.0), repeat=nu)))
+        got = g.BinaryHypercube(nu).candidate_points()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_finite_set_and_axis_set():
-    pts = g.region_points(g.FiniteSet(((2.0, 0.0), (0.0, 1.0))))
+    region = g.FiniteSet(((2.0, 0.0), (0.0, 1.0)))
+    pts = g.region_points(region)
     np.testing.assert_array_equal(pts, [[0.0, 1.0], [2.0, 0.0]])  # sorted
+    # the points stay as given, and each call returns its own copy
+    assert region.points == ((2.0, 0.0), (0.0, 1.0))
+    pts[:] = -1.0
+    np.testing.assert_array_equal(region.candidate_points(), [[0.0, 1.0], [2.0, 0.0]])
     axis = g.region_points(g.AxisSet((2.0, 3.0)))
     np.testing.assert_array_equal(axis, [[0.0, 3.0], [2.0, 0.0]])
 
@@ -413,3 +425,32 @@ def test_phi_k_weakly_decreasing_in_matrix_scale(seed):
         v1 = g.phi_k_of_matrix(M, k)
         v2 = g.phi_k_of_matrix(2.0 * M, k)
         np.testing.assert_allclose(v2, 0.5 * v1, rtol=1e-11)
+
+
+LOGISTIC_SLOPE3 = g.ModelSpec(g.logistic, g.single_factor_intercept(), (0.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda pts: g.weighted_information(LOGISTIC_SLOPE3, pts, [0.25, 0.5, 0.25]),
+        lambda pts: g.Design(pts, (0.25, 0.5, 0.25)),
+        lambda pts: g.intensity_many(LOGISTIC_SLOPE3, pts),
+        lambda pts: g.optimize_weights(LOGISTIC_SLOPE3, pts, 1.0),
+        lambda pts: g.saturated_weights(LOGISTIC_SLOPE3, pts[::2], "A"),
+        lambda pts: g.fourpoint_d_weights(LOGISTIC_SLOPE3, pts),
+        lambda pts: g.brute_force_weights(LOGISTIC_SLOPE3, pts, 0.0, 20),
+    ],
+    ids=[
+        "weighted_information", "Design", "intensity_many", "optimize_weights",
+        "saturated_weights", "fourpoint_d_weights", "brute_force_weights",
+    ],
+)
+def test_flat_points_of_one_factor_are_a_column(call):
+    # for nu = 1 a flat list is one point per entry, whatever takes it
+    flat = call([-1.0, 0.0, 1.0])
+    column = call([[-1.0], [0.0], [1.0]])
+    if isinstance(flat, g.Design):
+        assert flat == column
+    else:
+        assert np.asarray(flat).tobytes() == np.asarray(column).tobytes()

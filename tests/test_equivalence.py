@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import glmdesign as g
-from glmdesign import designs, equivalence
+from glmdesign import constructors, designs, equivalence
 from glmdesign.designs import _EigenState
 from glmdesign.equivalence import _SensitivityKernel
 from glmdesign.errors import CriterionOverflowError, DomainError, SingularMatrixError
@@ -142,6 +142,32 @@ def test_region_of_another_dimension_is_value_error(monkeypatch, call, nu):
     monkeypatch.setattr(g.BinaryHypercube, "candidate_blocks", unbuilt)
     with pytest.raises(ValueError, match="region has dimension"):
         call(POISSON_AXES, g.BinaryHypercube(nu))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: g.verify_design(AXES, POISSON_AXES, 1.0, g.BinaryHypercube(2)),
+        lambda: g.sensitivity_scan(AXES, POISSON_AXES, 1.0, g.BinaryHypercube(2)),
+        lambda: g.optimize_design(POISSON_AXES, g.BinaryHypercube(2), 1.0),
+        lambda: g.axis_design(POISSON_AXES, (1.0, 2.0), 0.5, g.BinaryHypercube(2)),
+        lambda: g.corner_design_multifactor(
+            g.ModelSpec(g.logistic, g.first_order_intercept(2), (0.0, 1.0, 1.0)), "A"
+        ),
+    ],
+    ids=["verify_design", "sensitivity_scan", "optimize_design", "axis_design",
+         "corner_design_multifactor"],
+)
+def test_region_of_the_model_dimension_reaches_the_blocked_methods(monkeypatch, call):
+    # the methods the dimension tests replace are the ones each certificate
+    # and search reads, so those tests fail if a check comes too late
+    def built(self):
+        raise AssertionError("candidates built")
+
+    monkeypatch.setattr(g.BinaryHypercube, "candidate_points", built)
+    monkeypatch.setattr(g.BinaryHypercube, "candidate_blocks", built)
+    with pytest.raises(AssertionError, match="candidates built"):
+        call()
 
 
 def test_large_order_still_certifies():
@@ -484,6 +510,20 @@ def _verify_problem(draw):
     return design, spec, k, region, tol
 
 
+def _one_pass_table(design, spec, k, region):
+    """sensitivity_scan as one pass: the whole candidate array scored at once."""
+    cand = g.region_points(region)
+    bound = _SensitivityKernel(design, spec, k).bound
+    sens = _full_scores(design, spec, k, cand)
+    return [(tuple(pt), s, bound) for pt, s in zip(cand.tolist(), sens.tolist())]
+
+
+def _one_pass_margin(design, spec, k, region):
+    """constructors._kernel_margin as one pass: 1 - max / bound."""
+    bound = _SensitivityKernel(design, spec, k).bound
+    return 1.0 - float(_full_scores(design, spec, k, g.region_points(region)).max()) / bound
+
+
 @given(problem=_verify_problem(), block=st.integers(2, 64))
 @settings(max_examples=150, deadline=None)
 def test_streamed_report_equals_one_pass(problem, block):
@@ -492,10 +532,16 @@ def test_streamed_report_equals_one_pass(problem, block):
     # a one-row product rounds differently from a whole-array one for p >= 4
     assume(block >= 4 or spec.p < 4)
     whole = _outcome(lambda: _one_pass_report(design, spec, k, region, tol))
+    table = _outcome(lambda: _one_pass_table(design, spec, k, region))
+    margin = _outcome(lambda: _one_pass_margin(design, spec, k, region))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(designs, "ROW_BLOCK", block)
         streamed = _outcome(lambda: g.verify_design(design, spec, k, region, tol))
+        scanned = _outcome(lambda: g.sensitivity_scan(design, spec, k, region))
+        reduced = _outcome(lambda: constructors._kernel_margin(design, spec, k, region))
     assert streamed == whole
+    assert scanned == table
+    assert reduced == margin
 
 
 def test_worst_point_tie_across_blocks_is_the_smallest(small_blocks):
@@ -523,6 +569,24 @@ def test_grid_verify_holds_no_array_of_the_grid_size():
         tracemalloc.stop()
     assert report.candidates == 10**6
     assert peak < 2_000_000, peak
+
+
+def test_grid_scan_holds_no_candidate_array():
+    # a scan reads the region's blocks twice, to score them and to build
+    # its rows, and holds only the n sensitivities (8 MB here); with the
+    # whole candidate array as well it peaked at about 25 MB traced
+    spec = g.ModelSpec(g.gamma_inverse, g.first_order_intercept(2), (1.0, 0.5, 0.5))
+    design = g.Design(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), (0.4, 0.3, 0.3))
+    region = g.GridBox((0.0, 0.0), (1.0, 1.0), (1000, 1000))
+    tracemalloc.start()
+    try:
+        n, _, rows = equivalence._scan_rows(design, spec, 1.0, region)
+        count = sum(1 for _ in rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == count == 10**6
+    assert peak < 12_000_000, peak
 
 
 # ------------------------------------------------------------ scan tables
